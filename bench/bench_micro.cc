@@ -195,6 +195,30 @@ BM_CacheAccess(benchmark::State &state)
 BENCHMARK(BM_CacheAccess)->Arg(32 << 10)->Arg(1 << 20)->Arg(30 << 20);
 
 static void
+BM_CachePollute(benchmark::State &state)
+{
+    // Context-switch pollution of a 1 MB 16-way L2 filled to
+    // range(0) percent: the cost follows the valid lines, not the
+    // capacity, because only set validity bits are visited.
+    hw::Cache filled(1 << 20, 16);
+    const std::uint64_t lines = filled.sets() * filled.ways();
+    const std::uint64_t valid =
+        lines * static_cast<std::uint64_t>(state.range(0)) / 100;
+    for (std::uint64_t l = 0; l < valid; ++l)
+        filled.access(l * 64, false);
+    std::uint64_t salt = 0;
+    for (auto _ : state) {
+        state.PauseTiming();
+        hw::Cache cache = filled;
+        state.ResumeTiming();
+        cache.invalidateFraction(0.075, ++salt);
+        benchmark::DoNotOptimize(cache.stats().invalidations);
+    }
+    state.counters["valid_lines"] = static_cast<double>(valid);
+}
+BENCHMARK(BM_CachePollute)->Arg(1)->Arg(25)->Arg(100);
+
+static void
 BM_BranchPredictor(benchmark::State &state)
 {
     hw::BranchPredictor bp(14, 12);

@@ -1595,11 +1595,10 @@ Worker::fetchNextRequest(os::StepCtx &ctx, bool &blocked)
             return true;
         }
     }
-    std::vector<os::Socket *> ready;
     probeSyscall(SysKind::EpollWait, 0);
-    if (kernel.sysEpollWait(ctx, *this, *epoll_, ready) ==
+    if (kernel.sysEpollWait(ctx, *this, *epoll_, readyScratch_) ==
         os::SysResult::Ok) {
-        readyList_.assign(ready.begin(), ready.end());
+        readyList_.assign(readyScratch_.begin(), readyScratch_.end());
         // Loop around in the caller to drain the ready list.
         return false;
     }

@@ -682,6 +682,8 @@ class Worker : public os::Thread
     sim::Time period_;
     ProgramRunner runner_;
     std::deque<os::Socket *> readyList_;
+    /** epoll_wait's result buffer, reused across calls. */
+    std::vector<os::Socket *> readyScratch_;
     std::vector<os::Socket *> conns_;       //!< inbound connections
     /** Outbound RPC conns, [target edge][replica]. */
     std::vector<std::vector<os::Socket *>> downConns_;

@@ -1,7 +1,9 @@
 #include "hw/cache.h"
 
+#include <algorithm>
 #include <bit>
-#include <cassert>
+#include <stdexcept>
+#include <string>
 
 namespace ditto::hw {
 
@@ -13,12 +15,18 @@ lineOf(std::uint64_t addr)
     return addr / kLineBytes;
 }
 
+/** find()'s result when the line is not present. */
+constexpr std::size_t kAbsent = ~std::size_t{0};
+
 } // namespace
 
 Cache::Cache(std::uint64_t capacityBytes, unsigned ways)
     : capacity_(capacityBytes), ways_(ways)
 {
-    assert(ways_ > 0);
+    // A set's valid bits are read as one 64-bit window.
+    if (ways_ == 0 || ways_ > 64)
+        throw std::invalid_argument(
+            "Cache: ways must be 1..64, got " + std::to_string(ways_));
     std::uint64_t line_count = capacity_ / kLineBytes;
     if (line_count < ways_)
         line_count = ways_;
@@ -31,43 +39,62 @@ Cache::Cache(std::uint64_t capacityBytes, unsigned ways)
         sets_ = 1;
     setMask_ = sets_ - 1;
     setShift_ = static_cast<unsigned>(std::countr_zero(sets_));
+    wayMask_ = ways_ == 64 ? ~std::uint64_t{0}
+                           : (std::uint64_t{1} << ways_) - 1;
     lines_.assign(sets_ * ways_, Line{});
+    // One padding word past the last line: see slotOf().
+    valid_.assign((lines_.size() + 63) / 64 + 1, 0);
 }
 
-Cache::Line *
-Cache::find(std::uint64_t addr)
+// slotOf() and find() are on every access's hit path: keep them inline.
+inline Cache::Slot
+Cache::slotOf(std::uint64_t addr) const
 {
     const std::uint64_t line = lineOf(addr);
-    const std::uint64_t set = line & setMask_;
-    const std::uint64_t tag = line >> setShift_;
-    Line *base = &lines_[set * ways_];
-    for (unsigned w = 0; w < ways_; ++w) {
-        if (base[w].valid && base[w].tag == tag)
-            return &base[w];
-    }
-    return nullptr;
+    const std::size_t base = (line & setMask_) * ways_;
+    // The set's bits may straddle into the next word (e.g. 11 ways);
+    // the padding word makes that read safe for the last set, and the
+    // split shift keeps off == 0 defined without a branch.
+    const std::size_t word = base / 64;
+    const unsigned off = base % 64;
+    const std::uint64_t valid = (valid_[word] >> off) |
+        (valid_[word + 1] << 1 << (63 - off));
+    return {base, line >> setShift_, valid & wayMask_};
 }
 
-const Cache::Line *
-Cache::find(std::uint64_t addr) const
+inline std::size_t
+Cache::find(const Slot &slot) const
 {
-    return const_cast<Cache *>(this)->find(addr);
+    for (std::uint64_t m = slot.valid; m; m &= m - 1) {
+        const std::size_t i =
+            slot.base + static_cast<unsigned>(std::countr_zero(m));
+        if (lines_[i].tag == slot.tag)
+            return i;
+    }
+    return kAbsent;
 }
 
-Cache::Line *
-Cache::victim(std::uint64_t addr)
+std::size_t
+Cache::allocate(const Slot &slot, bool prefetch)
 {
-    const std::uint64_t line = lineOf(addr);
-    const std::uint64_t set = line & setMask_;
-    Line *base = &lines_[set * ways_];
-    Line *lru = &base[0];
-    for (unsigned w = 0; w < ways_; ++w) {
-        if (!base[w].valid)
-            return &base[w];
-        if (base[w].lastUse < lru->lastUse)
-            lru = &base[w];
+    std::size_t i;
+    if (const std::uint64_t free = ~slot.valid & wayMask_) {
+        i = slot.base + static_cast<unsigned>(std::countr_zero(free));
+        valid_[i / 64] |= std::uint64_t{1} << (i % 64);
+    } else {
+        // Full set: the first least-recently-used way.
+        i = slot.base;
+        for (std::size_t w = slot.base + 1; w < slot.base + ways_; ++w) {
+            if (lines_[w].lastUse < lines_[i].lastUse)
+                i = w;
+        }
+        ++stats_.evictions;
     }
-    return lru;
+    Line &line = lines_[i];
+    line.tag = slot.tag;
+    line.lastUse = tick_;
+    line.prefetched = prefetch;
+    return i;
 }
 
 bool
@@ -75,23 +102,19 @@ Cache::access(std::uint64_t addr, bool /*isWrite*/)
 {
     ++stats_.accesses;
     ++tick_;
-    if (Line *line = find(addr)) {
-        if (line->prefetched) {
+    const Slot slot = slotOf(addr);
+    const std::size_t i = find(slot);
+    if (i != kAbsent) {
+        Line &line = lines_[i];
+        if (line.prefetched) {
             ++stats_.prefetchHits;
-            line->prefetched = false;
+            line.prefetched = false;
         }
-        line->lastUse = tick_;
+        line.lastUse = tick_;
         return true;
     }
     ++stats_.misses;
-    Line *line = victim(addr);
-    if (line->valid)
-        ++stats_.evictions;
-    const std::uint64_t lineAddr = lineOf(addr);
-    line->tag = lineAddr >> setShift_;
-    line->lastUse = tick_;
-    line->valid = true;
-    line->prefetched = false;
+    lastAccess_ = allocate(slot, false);
     return false;
 }
 
@@ -99,37 +122,61 @@ void
 Cache::fill(std::uint64_t addr, bool prefetch)
 {
     ++tick_;
-    if (Line *line = find(addr)) {
-        line->lastUse = tick_;
+    const Slot slot = slotOf(addr);
+    const std::size_t i = find(slot);
+    if (i != kAbsent) {
+        lines_[i].lastUse = tick_;
         return;
     }
-    Line *line = victim(addr);
-    if (line->valid)
-        ++stats_.evictions;
-    const std::uint64_t lineAddr = lineOf(addr);
-    line->tag = lineAddr >> setShift_;
-    line->lastUse = tick_;
-    line->valid = true;
-    line->prefetched = prefetch;
+    allocate(slot, prefetch);
     if (prefetch)
         ++stats_.prefetchFills;
+}
+
+void
+Cache::touchLastAccess()
+{
+    ++tick_;
+    lines_[lastAccess_].lastUse = tick_;
+}
+
+// Inline: the prefetch path calls it several times per access, and
+// the line is usually present already.
+inline bool
+Cache::fillIfAbsent(std::uint64_t addr, bool prefetch)
+{
+    const Slot slot = slotOf(addr);
+    if (find(slot) != kAbsent)
+        return false;
+    ++tick_;
+    allocate(slot, prefetch);
+    if (prefetch)
+        ++stats_.prefetchFills;
+    return true;
 }
 
 bool
 Cache::probe(std::uint64_t addr) const
 {
-    return find(addr) != nullptr;
+    return find(slotOf(addr)) != kAbsent;
+}
+
+std::uint64_t
+Cache::recency(std::uint64_t addr) const
+{
+    const std::size_t i = find(slotOf(addr));
+    return i == kAbsent ? 0 : lines_[i].lastUse;
 }
 
 bool
 Cache::invalidate(std::uint64_t addr)
 {
-    if (Line *line = find(addr)) {
-        line->valid = false;
-        ++stats_.invalidations;
-        return true;
-    }
-    return false;
+    const std::size_t i = find(slotOf(addr));
+    if (i == kAbsent)
+        return false;
+    valid_[i / 64] &= ~(std::uint64_t{1} << (i % 64));
+    ++stats_.invalidations;
+    return true;
 }
 
 void
@@ -140,25 +187,28 @@ Cache::invalidateFraction(double fraction, std::uint64_t salt)
     // Deterministic pseudo-random selection keyed by line index+salt.
     const auto threshold =
         static_cast<std::uint64_t>(fraction * 4294967296.0);
-    for (std::size_t i = 0; i < lines_.size(); ++i) {
-        if (!lines_[i].valid)
-            continue;
-        std::uint64_t h = (i * 0x9e3779b97f4a7c15ull) ^ salt;
-        h ^= h >> 29;
-        h *= 0xbf58476d1ce4e5b9ull;
-        h ^= h >> 32;
-        if ((h & 0xffffffffull) < threshold) {
-            lines_[i].valid = false;
-            ++stats_.invalidations;
+    for (std::size_t word = 0; word < valid_.size(); ++word) {
+        std::uint64_t drop = 0;
+        for (std::uint64_t m = valid_[word]; m; m &= m - 1) {
+            const std::uint64_t i =
+                word * 64 + static_cast<unsigned>(std::countr_zero(m));
+            std::uint64_t h = (i * 0x9e3779b97f4a7c15ull) ^ salt;
+            h ^= h >> 29;
+            h *= 0xbf58476d1ce4e5b9ull;
+            h ^= h >> 32;
+            if ((h & 0xffffffffull) < threshold) {
+                drop |= m & -m;
+                ++stats_.invalidations;
+            }
         }
+        valid_[word] &= ~drop;
     }
 }
 
 void
 Cache::flush()
 {
-    for (Line &line : lines_)
-        line.valid = false;
+    std::fill(valid_.begin(), valid_.end(), 0);
 }
 
 StreamPrefetcher::StreamPrefetcher(unsigned tableSize, unsigned degree)
@@ -239,31 +289,29 @@ CacheHierarchy::accessData(std::uint64_t addr, bool isWrite)
     if (l1d_.access(addr, isWrite)) {
         level = CacheLevel::L1;
     } else if (l2_.access(addr, isWrite)) {
+        // Each missing access() allocated the line; filling it inward
+        // is only the recency update fill() would have made.
         level = CacheLevel::L2;
-        l1d_.fill(addr);
+        l1d_.touchLastAccess();
     } else if (llc_ && llc_->access(addr, isWrite)) {
         level = CacheLevel::L3;
-        l2_.fill(addr);
-        l1d_.fill(addr);
+        l2_.touchLastAccess();
+        l1d_.touchLastAccess();
     } else {
         level = CacheLevel::Memory;
         if (llc_)
-            llc_->fill(addr);
-        l2_.fill(addr);
-        l1d_.fill(addr);
+            llc_->touchLastAccess();
+        l2_.touchLastAccess();
+        l1d_.touchLastAccess();
     }
 
     if (prefetchEnabled_) {
         prefetcher_.observe(addr / kLineBytes, prefetchScratch_);
         for (std::uint64_t line : prefetchScratch_) {
             const std::uint64_t pfAddr = line * kLineBytes;
-            if (!l2_.probe(pfAddr)) {
-                if (llc_ && !llc_->probe(pfAddr))
-                    llc_->fill(pfAddr, true);
-                l2_.fill(pfAddr, true);
-            }
-            if (!l1d_.probe(pfAddr))
-                l1d_.fill(pfAddr, true);
+            if (l2_.fillIfAbsent(pfAddr, true) && llc_)
+                llc_->fillIfAbsent(pfAddr, true);
+            l1d_.fillIfAbsent(pfAddr, true);
         }
     }
     return level;
@@ -275,18 +323,18 @@ CacheHierarchy::accessInst(std::uint64_t addr)
     if (l1i_.access(addr, false))
         return CacheLevel::L1;
     if (l2_.access(addr, false)) {
-        l1i_.fill(addr);
+        l1i_.touchLastAccess();
         return CacheLevel::L2;
     }
     if (llc_ && llc_->access(addr, false)) {
-        l2_.fill(addr);
-        l1i_.fill(addr);
+        l2_.touchLastAccess();
+        l1i_.touchLastAccess();
         return CacheLevel::L3;
     }
     if (llc_)
-        llc_->fill(addr);
-    l2_.fill(addr);
-    l1i_.fill(addr);
+        llc_->touchLastAccess();
+    l2_.touchLastAccess();
+    l1i_.touchLastAccess();
     return CacheLevel::Memory;
 }
 

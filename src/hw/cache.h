@@ -14,6 +14,7 @@
 #ifndef DITTO_HW_CACHE_H_
 #define DITTO_HW_CACHE_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -52,11 +53,20 @@ struct CacheStats
  * One set-associative cache with true LRU.
  *
  * Addresses are byte addresses; the cache operates on 64B lines.
- * Capacity and associativity must make a power-of-two set count.
+ * Associativity is 1..64 ways. The set count (capacity / 64B / ways)
+ * is rounded down to a power of two for mask indexing, so a capacity
+ * that does not give a power-of-two set count simulates fewer lines
+ * than capacityBytes() reports (Platform A's 30.25 MB 11-way LLC
+ * simulates 32,768 sets, about 22 MB).
+ *
+ * Validity lives in one bitmap, one bit per line in set-major order,
+ * so lookups visit only a set's valid ways and invalidateFraction()
+ * costs O(valid lines) rather than O(capacity).
  */
 class Cache
 {
   public:
+    /** @throw std::invalid_argument if ways is 0 or above 64. */
     Cache(std::uint64_t capacityBytes, unsigned ways);
 
     /**
@@ -71,6 +81,12 @@ class Cache
 
     /** True if the line is present (no state change, no counting). */
     bool probe(std::uint64_t addr) const;
+
+    /**
+     * The present line's LRU stamp (larger is more recent), 0 if the
+     * line is absent. No state change; for tests.
+     */
+    std::uint64_t recency(std::uint64_t addr) const;
 
     /** Drop a line if present. @retval true if it was present. */
     bool invalidate(std::uint64_t addr);
@@ -89,12 +105,21 @@ class Cache
     void resetStats() { stats_ = CacheStats{}; }
 
   private:
+    friend class CacheHierarchy;
+
     struct Line
     {
         std::uint64_t tag = 0;
         std::uint64_t lastUse = 0;
-        bool valid = false;
         bool prefetched = false;
+    };
+
+    /** An address's set: first line index, tag, valid-way mask. */
+    struct Slot
+    {
+        std::size_t base;
+        std::uint64_t tag;
+        std::uint64_t valid;
     };
 
     std::uint64_t capacity_;
@@ -102,13 +127,30 @@ class Cache
     std::uint64_t sets_;
     std::uint64_t setMask_;
     unsigned setShift_;
+    std::uint64_t wayMask_;
     std::vector<Line> lines_;
+    /** Bit i set iff lines_[i] holds a line; the only validity record. */
+    std::vector<std::uint64_t> valid_;
+    /** Line the last missing access() allocated. */
+    std::size_t lastAccess_ = 0;
     std::uint64_t tick_ = 0;
     CacheStats stats_;
 
-    Line *find(std::uint64_t addr);
-    const Line *find(std::uint64_t addr) const;
-    Line *victim(std::uint64_t addr);
+    Slot slotOf(std::uint64_t addr) const;
+    std::size_t find(const Slot &slot) const;
+    std::size_t allocate(const Slot &slot, bool prefetch);
+
+    /**
+     * fill() of the line the last access() missed on and allocated:
+     * the same tick and recency update without rescanning the set.
+     */
+    void touchLastAccess();
+
+    /**
+     * probe() then, if absent, fill(addr, prefetch), in one scan.
+     * @retval true if the line was filled.
+     */
+    bool fillIfAbsent(std::uint64_t addr, bool prefetch);
 };
 
 /** Latencies (cycles) of each level of the hierarchy. */

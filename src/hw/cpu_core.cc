@@ -132,7 +132,7 @@ CpuCore::runPhase(const CodeImage &image,
     double portLoad[kNumPorts] = {};
     // Pointer-chase streams serialize through memory: each access
     // depends on the previous one's loaded value (mov r11, [r11]).
-    std::vector<double> chainReady(code.streams.size(), 0.0);
+    chainReady_.assign(code.streams.size(), 0.0);
     double critPath = 0;
     double parallelMissCycles = 0;
     double frontendStall = 0;
@@ -250,10 +250,10 @@ CpuCore::runPhase(const CodeImage &image,
                 code.streams[inst.memStream].kind ==
                     StreamKind::PointerChase;
             if (chased)
-                ready = std::max(ready, chainReady[inst.memStream]);
+                ready = std::max(ready, chainReady_[inst.memStream]);
             const double done = ready + effLat;
             if (chased)
-                chainReady[inst.memStream] = done;
+                chainReady_[inst.memStream] = done;
             if (inst.dst != kNoReg)
                 regReady[inst.dst] = done;
             critPath = std::max(critPath, done);

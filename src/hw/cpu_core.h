@@ -267,6 +267,8 @@ class CpuCore
     bool exactMode_ = false;
     double contention_ = 1.0;
     std::unordered_map<const void *, ReplayEntry> replay_;
+    /** runPhase()'s per-stream pointer-chase ready times, reused. */
+    std::vector<double> chainReady_;
 
     void runPhase(const CodeImage &image,
                   const CodeImage::LinkedBlock &block,

@@ -93,7 +93,7 @@ Kernel::sysEpollWait(StepCtx &ctx, Thread &t, Epoll &ep,
     runPath(ctx, t, KernelPath::SyscallEntry);
     if (ep.anyReady()) {
         runPath(ctx, t, KernelPath::EpollWait);
-        ready = ep.readySockets();
+        ep.readySockets(ready);
         return SysResult::Ok;
     }
     ep.addWaiter(&t);

@@ -97,15 +97,14 @@ Epoll::notifyReadable(Socket *)
     }
 }
 
-std::vector<Socket *>
-Epoll::readySockets() const
+void
+Epoll::readySockets(std::vector<Socket *> &out) const
 {
-    std::vector<Socket *> ready;
+    out.clear();
     for (Socket *s : watched_) {
         if (s->readable())
-            ready.push_back(s);
+            out.push_back(s);
     }
-    return ready;
 }
 
 bool

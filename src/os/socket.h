@@ -166,8 +166,11 @@ class Epoll
     /** Called by a socket when it becomes readable. */
     void notifyReadable(Socket *s);
 
-    /** Sockets with pending data right now. */
-    std::vector<Socket *> readySockets() const;
+    /**
+     * Sockets with pending data right now, into `out`, which is
+     * cleared first (its capacity is kept for the next call).
+     */
+    void readySockets(std::vector<Socket *> &out) const;
 
     bool anyReady() const;
 

@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "hw/platform.h"
 #include "os/disk.h"
 #include "os/kernel.h"
@@ -140,7 +142,10 @@ TEST(Epoll, NotifiesOnReadable)
     s.push(m);
     EXPECT_EQ(woken, 1);
     EXPECT_TRUE(ep.anyReady());
-    EXPECT_EQ(ep.readySockets().size(), 1u);
+    std::vector<Socket *> ready = {&s, &s};  // cleared first
+    ep.readySockets(ready);
+    ASSERT_EQ(ready.size(), 1u);
+    EXPECT_EQ(ready[0], &s);
 }
 
 TEST(WaitQueue, WakesUpToN)
