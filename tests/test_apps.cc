@@ -30,6 +30,14 @@ const NamedApp kApps[] = {
     {"redis", apps::redisSpec, apps::redisLoad},
 };
 
+// Print the param by name: gtest's default byte dump shows function
+// pointers, so listed (and ctest-discovered) test names change with ASLR.
+void
+PrintTo(const NamedApp &app, std::ostream *os)
+{
+    *os << app.name;
+}
+
 class AppSpecTest : public ::testing::TestWithParam<NamedApp>
 {
 };
