@@ -29,25 +29,20 @@
 using namespace ditto;
 
 static void
-BM_EventQueueScheduleRun(benchmark::State &state,
-                         sim::EventQueue::Backend backend)
+BM_EventQueueScheduleRun(benchmark::State &state)
 {
     for (auto _ : state) {
-        sim::EventQueue q(backend);
+        sim::EventQueue q;
         for (int i = 0; i < 1000; ++i)
             q.scheduleAt(static_cast<sim::Time>(i * 7 % 997), [] {});
         benchmark::DoNotOptimize(q.runAll());
     }
     state.SetItemsProcessed(state.iterations() * 1000);
 }
-BENCHMARK_CAPTURE(BM_EventQueueScheduleRun, wheel,
-                  sim::EventQueue::Backend::Wheel);
-BENCHMARK_CAPTURE(BM_EventQueueScheduleRun, heap,
-                  sim::EventQueue::Backend::Heap);
+BENCHMARK(BM_EventQueueScheduleRun);
 
 static void
-BM_EventQueueCancelHeavy(benchmark::State &state,
-                         sim::EventQueue::Backend backend)
+BM_EventQueueCancelHeavy(benchmark::State &state)
 {
     // RPC-deadline shape: N timeouts pending far in the future while
     // every one of them is cancelled (the request "completed").
@@ -59,7 +54,7 @@ BM_EventQueueCancelHeavy(benchmark::State &state,
         static_cast<std::size_t>(pending));
     for (auto _ : state) {
         state.PauseTiming();
-        sim::EventQueue q(backend);
+        sim::EventQueue q;
         for (int i = 0; i < pending; ++i)
             ids[static_cast<std::size_t>(i)] = q.scheduleAt(
                 static_cast<sim::Time>(1000000 + i), [] {});
@@ -71,26 +66,19 @@ BM_EventQueueCancelHeavy(benchmark::State &state,
     state.SetItemsProcessed(state.iterations() * pending);
     state.SetComplexityN(pending);
 }
-BENCHMARK_CAPTURE(BM_EventQueueCancelHeavy, wheel,
-                  sim::EventQueue::Backend::Wheel)
-    ->RangeMultiplier(4)
-    ->Range(256, 16384)
-    ->Complexity(benchmark::oN);
-BENCHMARK_CAPTURE(BM_EventQueueCancelHeavy, heap,
-                  sim::EventQueue::Backend::Heap)
+BENCHMARK(BM_EventQueueCancelHeavy)
     ->RangeMultiplier(4)
     ->Range(256, 16384)
     ->Complexity(benchmark::oN);
 
 static void
-BM_EventQueueTimeoutPattern(benchmark::State &state,
-                            sim::EventQueue::Backend backend)
+BM_EventQueueTimeoutPattern(benchmark::State &state)
 {
     // Mixed steady-state: each simulated request schedules completion
     // plus a timeout, the completion fires and cancels the timeout --
     // the dominant schedule/cancel pattern of the RPC layer.
     for (auto _ : state) {
-        sim::EventQueue q(backend);
+        sim::EventQueue q;
         for (int i = 0; i < 1000; ++i) {
             const auto now = static_cast<sim::Time>(i * 3);
             const sim::EventId timeout = q.scheduleAt(
@@ -103,10 +91,7 @@ BM_EventQueueTimeoutPattern(benchmark::State &state,
     }
     state.SetItemsProcessed(state.iterations() * 1000);
 }
-BENCHMARK_CAPTURE(BM_EventQueueTimeoutPattern, wheel,
-                  sim::EventQueue::Backend::Wheel);
-BENCHMARK_CAPTURE(BM_EventQueueTimeoutPattern, heap,
-                  sim::EventQueue::Backend::Heap);
+BENCHMARK(BM_EventQueueTimeoutPattern);
 
 namespace {
 

@@ -10,9 +10,7 @@
  * per-event ns go to stderr and BENCH_pipeline.json (the
  * "scale_per_event_ns" entry). The sweep fans out on the RunExecutor
  * and all stdout is printed after the ordered join, so output is
- * byte-identical at any --jobs (and, because both timer backends
- * execute events in the same order, byte-identical under
- * DITTO_EVENT_QUEUE=heap).
+ * byte-identical at any --jobs.
  */
 
 #include <cstdio>

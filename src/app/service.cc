@@ -226,62 +226,11 @@ ProgramRunner::execOp(os::StepCtx &ctx, Worker &worker, Frame &frame,
         Worker::RpcState &rs = worker.rpcState();
         const std::uint64_t traceId =
             worker.currentRequest().msg.traceId;
-
-        auto send_call = [&](const RpcCallSpec &call, os::Socket *conn,
-                             sim::Time deadline) -> std::uint64_t {
-            os::Message req;
-            req.kind = os::MsgKind::Request;
-            req.bytes = call.requestBytes;
-            req.endpoint = call.endpoint;
-            req.tag = service.nextTag();
-            req.traceId = traceId;
-            req.parentSpan = worker.currentRequest().serverSpan;
-            req.sendTime = worker.now(ctx);
-            req.deadline = deadline;
-            // Priority rides downstream with every hop, like the
-            // deadline: a child call works at its root's priority.
-            req.priority = worker.currentRequest().msg.priority;
-            const std::uint64_t tag = req.tag;
-            worker.probeSyscall(SysKind::SocketWrite, req.bytes);
-            if (service.probe()) {
-                service.probe()->onRpcIssued(
-                    worker, call.target, call.endpoint,
-                    call.requestBytes, call.responseBytes);
+        auto each_open = [&rs](auto &&fn) {
+            for (Worker::Attempt &a : rs.attempts) {
+                if (a.open)
+                    fn(a);
             }
-            if (service.tracer()) {
-                ServiceInstance *target =
-                    service.downstream(call.target);
-                service.tracer()->recordEdge(trace::RpcEdge{
-                    req.traceId, req.parentSpan, service.name(),
-                    target ? target->name() : "?", call.endpoint,
-                    call.requestBytes, call.responseBytes,
-                    deadline > req.sendTime
-                        ? static_cast<std::uint64_t>(deadline -
-                                                     req.sendTime)
-                        : 0});
-            }
-            service.stats().txBytes += call.requestBytes;
-            kernel.sysSocketWrite(ctx, worker, *conn, std::move(req));
-            return tag;
-        };
-
-        // End-to-end budget: the absolute deadline the inbound request
-        // carries, minus the hop margin reserved for the reply leg.
-        // 0 means "no budget" (propagation off or no deadline).
-        auto hop_budget = [&]() -> sim::Time {
-            if (!res.propagateDeadline)
-                return 0;
-            const sim::Time d = worker.currentRequest().msg.deadline;
-            if (d == 0)
-                return 0;
-            return d > res.hopMargin ? d - res.hopMargin : 1;
-        };
-
-        auto finish_response = [&](const os::Message &resp) {
-            service.stats().rxBytes += resp.bytes;
-            // A degraded downstream answer degrades our own response.
-            if (resp.status != os::MsgStatus::Ok)
-                worker.currentRequest().degraded = true;
         };
 
         if (!async) {
@@ -304,92 +253,23 @@ ProgramRunner::execOp(os::StepCtx &ctx, Worker &worker, Frame &frame,
                 const RpcCallSpec &call = op.rpcs[callIdx];
                 CircuitBreaker *cb = service.breaker(call.target);
                 if (frame.phase % 2 == 0) {
-                    if (rs.attempt == 0) {
-                        if (res.any())
-                            service.stats().rpcCallsStarted++;
-                        rs.callOpen = true;
-                        rs.callTarget = call.target;
-                        rs.callEndpoint = call.endpoint;
-                        service.retryBudget().onFresh();
-                        if (call.optional &&
-                            service.brownoutActive()) {
-                            // Brownout: the limiter is congested, so
-                            // shed this optional edge outright. The
-                            // response is NOT degraded -- optional
-                            // means the caller renders fine without
-                            // it.
-                            service.stats().rpcBrownoutSkipped++;
-                            service.noteOutcome(
-                                worker,
-                                trace::OutcomeKind::RpcCancelled,
-                                call.target, call.endpoint, 0,
-                                traceId, "brownout");
-                            rs.reset();
-                            frame.phase += 2;  // skip the call
-                            continue;
-                        }
-                    }
-                    const sim::Time budget = hop_budget();
-                    if (budget != 0 && budget <= worker.now(ctx)) {
-                        // Budget already exhausted: fail fast without
-                        // putting anything on the wire. A first
-                        // attempt settles as cancelled; a retry whose
-                        // budget ran out settles as the timeout it is.
-                        service.noteOutcome(
-                            worker,
-                            rs.attempt == 0
-                                ? trace::OutcomeKind::RpcCancelled
-                                : trace::OutcomeKind::RpcTimeout,
-                            call.target, call.endpoint, rs.attempt,
-                            traceId, "budget_exhausted");
-                        worker.currentRequest().degraded = true;
-                        worker.cancelRpcTimer();
-                        worker.cancelHedgeTimer();
+                    const sim::Time budget = worker.hopBudget();
+                    if (!worker.admitCall(
+                            ctx, call,
+                            budget != 0 && budget <= worker.now(ctx),
+                            rs.attempt, rs.attempt)) {
                         rs.reset();
                         frame.phase += 2;  // skip the call
                         continue;
                     }
-                    if (cb && !cb->allowRequest(worker.now(ctx))) {
-                        service.noteOutcome(
-                            worker, trace::OutcomeKind::RpcBreakerOpen,
-                            call.target, call.endpoint, rs.attempt,
-                            traceId);
-                        worker.currentRequest().degraded = true;
-                        rs.reset();
-                        frame.phase += 2;  // fail fast: skip the call
-                        continue;
-                    }
                     rs.attempt++;
-                    rs.replica =
-                        service.pickReplica(call.target, traceId);
-                    rs.conn =
-                        worker.downConn(call.target, rs.replica);
-                    service.balancer(call.target).onSend(rs.replica);
-                    rs.attemptOpen = true;
-                    rs.sendDeadline = 0;
-                    if (res.propagateDeadline) {
-                        if (res.rpcDeadline > 0) {
-                            rs.sendDeadline =
-                                worker.now(ctx) + res.rpcDeadline;
-                        }
-                        if (budget != 0 &&
-                            (rs.sendDeadline == 0 ||
-                             budget < rs.sendDeadline)) {
-                            rs.sendDeadline = budget;
-                        }
-                    }
-                    rs.waitTag =
-                        send_call(call, rs.conn, rs.sendDeadline);
-                    sim::Time delay = res.rpcDeadline;
-                    if (budget != 0) {
-                        const sim::Time at = worker.now(ctx);
-                        const sim::Time rem =
-                            budget > at ? budget - at : 1;
-                        if (delay == 0 || rem < delay)
-                            delay = rem;
-                    }
-                    if (delay > 0)
-                        worker.armRpcTimer(ctx, delay);
+                    rs.attempts.resize(2);  // {primary, hedge}
+                    rs.sendDeadline = worker.forwardDeadline(ctx, budget);
+                    worker.sendAttempt(
+                        ctx, rs.attempts[0], call,
+                        service.pickReplica(call.target, traceId),
+                        rs.sendDeadline);
+                    worker.armAttemptTimer(ctx, budget);
                     if (res.hedge.enabled && rs.attempt == 1 &&
                         service.downstreamGroup(call.target).size() >
                             1) {
@@ -403,103 +283,54 @@ ProgramRunner::execOp(os::StepCtx &ctx, Worker &worker, Frame &frame,
                     rs.timerFired = false;
                     frame.phase--;  // backoff over: resend
                 } else {
-                    os::Socket *conn = rs.conn;
+                    Worker::Attempt &primary = rs.attempts[0];
+                    Worker::Attempt &hedge = rs.attempts[1];
                     os::Message resp;
-                    os::Socket *from = nullptr;
-                    if (kernel.sysSocketTryRead(ctx, worker, *conn,
-                                                resp) ==
-                        os::SysResult::Ok) {
-                        from = conn;
-                    } else if (rs.hedgeConn &&
-                               kernel.sysSocketTryRead(
-                                   ctx, worker, *rs.hedgeConn,
-                                   resp) == os::SysResult::Ok) {
-                        from = rs.hedgeConn;
+                    bool got = false;
+                    for (Worker::Attempt &a : rs.attempts) {
+                        if (a.open &&
+                            kernel.sysSocketTryRead(ctx, worker, *a.conn,
+                                                    resp) ==
+                                os::SysResult::Ok) {
+                            got = true;
+                            break;
+                        }
                     }
-                    if (from) {
-                        const bool hedgeHit = rs.hedgeTag != 0 &&
-                            resp.tag == rs.hedgeTag;
-                        if (rs.waitTag != 0 &&
-                            resp.tag != rs.waitTag && !hedgeHit) {
-                            // Late reply to an abandoned attempt. The
-                            // bytes were still delivered and read off
-                            // the socket, so they count toward rx
-                            // traffic and the syscall profile.
-                            service.stats().rpcStaleResponses++;
-                            service.stats().rxBytes += resp.bytes;
-                            worker.probeSyscall(SysKind::SocketRead,
-                                                resp.bytes);
+                    if (got) {
+                        Worker::Attempt *won = worker.matchReply(resp.tag);
+                        if (!won) {
+                            worker.dropStaleReply(resp);
                             continue;
                         }
-                        worker.probeSyscall(SysKind::SocketRead,
-                                            resp.bytes);
+                        worker.acceptReply(*won, resp);
                         worker.cancelRpcTimer();
                         worker.cancelHedgeTimer();
-                        service.balancer(call.target)
-                            .onDone(rs.replica);
-                        if (rs.hedgeConn) {
-                            // First response wins; the loser attempt
-                            // is released and (optionally) chased
-                            // with a cancel. Its late reply, if any,
-                            // dies in the stale path above.
-                            service.balancer(call.target)
-                                .onDone(rs.hedgeReplica);
-                            os::Socket *loser =
-                                hedgeHit ? rs.conn : rs.hedgeConn;
-                            const std::uint64_t loserTag =
-                                hedgeHit ? rs.waitTag : rs.hedgeTag;
-                            loser->removeWaiter(&worker);
-                            from->removeWaiter(&worker);
-                            if (res.cancellation) {
-                                worker.sendCancelMsg(ctx, loser,
-                                                     loserTag,
-                                                     traceId);
-                            }
-                        }
-                        if (cb)
-                            cb->onSuccess();
-                        if (res.any()) {
-                            service.noteOutcome(
-                                worker,
-                                hedgeHit
-                                    ? trace::OutcomeKind::RpcHedgeWon
-                                    : rs.attempt > 1
-                                    ? trace::OutcomeKind::RpcRetriedOk
-                                    : trace::OutcomeKind::RpcOk,
-                                call.target, call.endpoint,
-                                rs.attempt, traceId);
-                        }
-                        finish_response(resp);
+                        // First response wins; the hedge race's loser
+                        // is abandoned. Its late reply, if any, dies
+                        // as a stale one.
+                        each_open([&](Worker::Attempt &a) {
+                            worker.abandonAttempt(&ctx, a);
+                        });
+                        worker.settleOk(
+                            *won,
+                            won == &hedge ? trace::OutcomeKind::RpcHedgeWon
+                                : rs.attempt > 1
+                                ? trace::OutcomeKind::RpcRetriedOk
+                                : trace::OutcomeKind::RpcOk,
+                            rs.attempt, resp);
                         rs.reset();
                         frame.phase++;
                     } else if (rs.timerFired) {
                         // Attempt deadline expired with no response.
                         rs.timerFired = false;
                         worker.cancelHedgeTimer();
-                        conn->removeWaiter(&worker);
-                        service.balancer(call.target)
-                            .onDone(rs.replica);
-                        if (res.cancellation && rs.waitTag != 0) {
-                            worker.sendCancelMsg(ctx, conn, rs.waitTag,
-                                                 traceId);
-                        }
-                        if (rs.hedgeConn) {
-                            rs.hedgeConn->removeWaiter(&worker);
-                            service.balancer(call.target)
-                                .onDone(rs.hedgeReplica);
-                            if (res.cancellation && rs.hedgeTag != 0) {
-                                worker.sendCancelMsg(ctx, rs.hedgeConn,
-                                                     rs.hedgeTag,
-                                                     traceId);
-                            }
-                        }
+                        each_open([&](Worker::Attempt &a) {
+                            worker.abandonAttempt(&ctx, a);
+                        });
                         // One failure per call, hedged or not: hedges
                         // must never double-count against the breaker.
                         if (cb)
                             cb->onFailure(worker.now(ctx));
-                        rs.attemptOpen = false;
-                        rs.hedgeConn = nullptr;
-                        rs.hedgeTag = 0;
                         bool retryAllowed =
                             rs.attempt < res.retry.maxAttempts;
                         const char *giveUpCause = "";
@@ -538,21 +369,16 @@ ProgramRunner::execOp(os::StepCtx &ctx, Worker &worker, Frame &frame,
                         rs.hedgeLaunched = true;
                         const std::size_t other =
                             service.pickReplicaExcluding(
-                                call.target, traceId, rs.replica);
-                        if (other != rs.replica) {
-                            rs.hedgeReplica = other;
-                            rs.hedgeConn =
-                                worker.downConn(call.target, other);
-                            service.balancer(call.target)
-                                .onSend(other);
-                            rs.hedgeTag = send_call(
-                                call, rs.hedgeConn, rs.sendDeadline);
+                                call.target, traceId, primary.replica);
+                        if (other != primary.replica) {
+                            worker.sendAttempt(ctx, hedge, call, other,
+                                               rs.sendDeadline);
                             service.stats().rpcHedges++;
                         }
                     } else {
-                        conn->addWaiter(&worker);
-                        if (rs.hedgeConn)
-                            rs.hedgeConn->addWaiter(&worker);
+                        each_open([&](Worker::Attempt &a) {
+                            a.conn->addWaiter(&worker);
+                        });
                         return Status::Blocked;
                     }
                 }
@@ -568,137 +394,47 @@ ProgramRunner::execOp(os::StepCtx &ctx, Worker &worker, Frame &frame,
         // spread across the replicas of a single downstream group.
         if (frame.phase == 0) {
             rs.reset();
-            rs.fanoutTags.assign(n, 0);
-            rs.fanoutConns.assign(n, nullptr);
-            rs.fanoutReplicas.assign(n, 0);
-            rs.fanoutTargets.assign(n, 0);
-            rs.fanoutEndpoints.assign(n, 0);
-            const sim::Time budget = hop_budget();
+            rs.attempts.assign(n, Worker::Attempt{});
+            const sim::Time budget = worker.hopBudget();
             const bool budgetDead =
                 budget != 0 && budget <= worker.now(ctx);
-            std::uint64_t pending = 0;
+            bool sent = false;
             for (std::size_t i = 0; i < n; ++i) {
                 const RpcCallSpec &call = op.rpcs[i];
-                rs.fanoutTargets[i] = call.target;
-                rs.fanoutEndpoints[i] = call.endpoint;
-                if (res.any())
-                    service.stats().rpcCallsStarted++;
-                service.retryBudget().onFresh();
-                if (call.optional && service.brownoutActive()) {
-                    // Brownout: drop the optional leg of the fanout
-                    // without degrading the response (see sync path).
-                    service.stats().rpcBrownoutSkipped++;
-                    service.noteOutcome(
-                        worker, trace::OutcomeKind::RpcCancelled,
-                        call.target, call.endpoint, 0, traceId,
-                        "brownout");
+                if (!worker.admitCall(ctx, call, budgetDead, 0, 1))
                     continue;
-                }
-                if (budgetDead) {
-                    // Budget exhausted before the fanout: fail every
-                    // call fast, nothing on the wire.
-                    service.noteOutcome(
-                        worker, trace::OutcomeKind::RpcCancelled,
-                        call.target, call.endpoint, 0, traceId,
-                        "budget_exhausted");
-                    worker.currentRequest().degraded = true;
-                    continue;
-                }
-                CircuitBreaker *cb = service.breaker(call.target);
-                if (cb && !cb->allowRequest(worker.now(ctx))) {
-                    service.noteOutcome(
-                        worker, trace::OutcomeKind::RpcBreakerOpen,
-                        call.target, call.endpoint, 1, traceId);
-                    worker.currentRequest().degraded = true;
-                    continue;
-                }
-                const std::size_t replica =
-                    service.pickReplica(call.target, traceId);
-                rs.fanoutReplicas[i] = replica;
-                rs.fanoutConns[i] =
-                    worker.downConn(call.target, replica);
-                service.balancer(call.target).onSend(replica);
-                sim::Time sendDeadline = 0;
-                if (res.propagateDeadline) {
-                    if (res.rpcDeadline > 0) {
-                        sendDeadline =
-                            worker.now(ctx) + res.rpcDeadline;
-                    }
-                    if (budget != 0 &&
-                        (sendDeadline == 0 || budget < sendDeadline))
-                        sendDeadline = budget;
-                }
-                rs.fanoutTags[i] =
-                    send_call(call, rs.fanoutConns[i], sendDeadline);
-                pending |= std::uint64_t{1} << std::min<std::size_t>(
-                    i, 63);
+                worker.sendAttempt(
+                    ctx, rs.attempts[i], call,
+                    service.pickReplica(call.target, traceId),
+                    worker.forwardDeadline(ctx, budget));
+                sent = true;
             }
-            frame.aux = pending;
-            rs.fanoutPending = pending;
             frame.phase = 1;
-            sim::Time delay = res.rpcDeadline;
-            if (budget != 0 && !budgetDead) {
-                const sim::Time at = worker.now(ctx);
-                const sim::Time rem = budget > at ? budget - at : 1;
-                if (delay == 0 || rem < delay)
-                    delay = rem;
-            }
-            if (delay > 0 && frame.aux != 0)
-                worker.armRpcTimer(ctx, delay);
+            if (sent)
+                worker.armAttemptTimer(ctx, budget);
         }
         // Collect phase: drain whatever is ready. Calls to the same
         // target share one connection, so match each reply against
-        // every pending tag; unmatched replies are stale leftovers of
+        // every open attempt; unmatched replies are stale leftovers of
         // an earlier timed-out fanout.
-        for (std::size_t i = 0; i < n; ++i) {
-            if (!(frame.aux & (std::uint64_t{1} << i)))
-                continue;
-            os::Socket *conn = rs.fanoutConns[i];
-            conn->removeWaiter(&worker);
+        each_open([&](Worker::Attempt &leg) {
+            leg.conn->removeWaiter(&worker);
             os::Message resp;
-            while ((frame.aux & (std::uint64_t{1} << i)) &&
-                   kernel.sysSocketTryRead(ctx, worker, *conn, resp) ==
-                       os::SysResult::Ok) {
-                std::size_t match = i;
-                if (rs.fanoutTags.size() == n &&
-                    rs.fanoutTags[i] != 0) {
-                    match = n;
-                    for (std::size_t j = 0; j < n; ++j) {
-                        if ((frame.aux & (std::uint64_t{1} << j)) &&
-                            rs.fanoutTags[j] == resp.tag) {
-                            match = j;
-                            break;
-                        }
-                    }
-                    if (match == n) {
-                        // Stale fanout reply: account the read (see
-                        // the sync-path comment above).
-                        service.stats().rpcStaleResponses++;
-                        service.stats().rxBytes += resp.bytes;
-                        worker.probeSyscall(SysKind::SocketRead,
-                                            resp.bytes);
-                        continue;
-                    }
+            while (leg.open &&
+                   kernel.sysSocketTryRead(ctx, worker, *leg.conn,
+                                           resp) == os::SysResult::Ok) {
+                Worker::Attempt *match = worker.matchReply(resp.tag);
+                if (!match) {
+                    worker.dropStaleReply(resp);
+                    continue;
                 }
-                worker.probeSyscall(SysKind::SocketRead, resp.bytes);
-                service.balancer(op.rpcs[match].target)
-                    .onDone(rs.fanoutReplicas[match]);
-                CircuitBreaker *cb =
-                    service.breaker(op.rpcs[match].target);
-                if (cb)
-                    cb->onSuccess();
-                if (res.any()) {
-                    service.noteOutcome(
-                        worker, trace::OutcomeKind::RpcOk,
-                        op.rpcs[match].target, op.rpcs[match].endpoint,
-                        1, traceId);
-                }
-                finish_response(resp);
-                frame.aux &= ~(std::uint64_t{1} << match);
-                rs.fanoutPending = frame.aux;
+                worker.acceptReply(*match, resp);
+                worker.settleOk(*match, trace::OutcomeKind::RpcOk, 1,
+                                resp);
             }
-        }
-        if (frame.aux == 0) {
+        });
+        if (std::none_of(rs.attempts.begin(), rs.attempts.end(),
+                         [](const Worker::Attempt &a) { return a.open; })) {
             worker.cancelRpcTimer();
             rs.reset();
             frame.phase = 0;
@@ -706,38 +442,25 @@ ProgramRunner::execOp(os::StepCtx &ctx, Worker &worker, Frame &frame,
             return Status::Done;
         }
         if (rs.timerFired) {
-            // Fanout deadline: abandon every still-pending call.
-            rs.timerFired = false;
-            for (std::size_t i = 0; i < n; ++i) {
-                if (!(frame.aux & (std::uint64_t{1} << i)))
-                    continue;
-                const RpcCallSpec &call = op.rpcs[i];
-                rs.fanoutConns[i]->removeWaiter(&worker);
-                service.balancer(call.target)
-                    .onDone(rs.fanoutReplicas[i]);
-                if (res.cancellation && rs.fanoutTags[i] != 0) {
-                    worker.sendCancelMsg(ctx, rs.fanoutConns[i],
-                                         rs.fanoutTags[i], traceId);
-                }
-                CircuitBreaker *cb = service.breaker(call.target);
-                if (cb)
+            // Fanout deadline: abandon every still-open call.
+            each_open([&](Worker::Attempt &leg) {
+                worker.abandonAttempt(&ctx, leg);
+                if (CircuitBreaker *cb = service.breaker(leg.target))
                     cb->onFailure(worker.now(ctx));
                 service.noteOutcome(
-                    worker, trace::OutcomeKind::RpcTimeout,
-                    call.target, call.endpoint, 1, traceId);
+                    worker, trace::OutcomeKind::RpcTimeout, leg.target,
+                    leg.endpoint, 1, traceId);
                 worker.currentRequest().degraded = true;
-            }
+            });
             rs.reset();
-            frame.aux = 0;
             frame.phase = 0;
             frame.pc++;
             return Status::Done;
         }
-        // Park on every still-pending connection.
-        for (std::size_t i = 0; i < n; ++i) {
-            if (frame.aux & (std::uint64_t{1} << i))
-                rs.fanoutConns[i]->addWaiter(&worker);
-        }
+        // Park on every still-open call's connection.
+        each_open([&](Worker::Attempt &leg) {
+            leg.conn->addWaiter(&worker);
+        });
         return Status::Blocked;
       }
 
@@ -1307,6 +1030,192 @@ Worker::cancelHedgeTimer()
     rpcState_.hedgeFired = false;
 }
 
+sim::Time
+Worker::hopBudget() const
+{
+    // The absolute deadline the inbound request carries, minus the
+    // hop margin reserved for the reply leg.
+    const ResilienceSpec &res = service_.spec().resilience;
+    const sim::Time d = req_.msg.deadline;
+    if (!res.propagateDeadline || d == 0)
+        return 0;
+    return d > res.hopMargin ? d - res.hopMargin : 1;
+}
+
+sim::Time
+Worker::forwardDeadline(const os::StepCtx &ctx, sim::Time budget) const
+{
+    const ResilienceSpec &res = service_.spec().resilience;
+    if (!res.propagateDeadline)
+        return 0;
+    sim::Time deadline = res.rpcDeadline > 0 ? now(ctx) + res.rpcDeadline
+                                             : 0;
+    if (budget != 0 && (deadline == 0 || budget < deadline))
+        deadline = budget;
+    return deadline;
+}
+
+void
+Worker::armAttemptTimer(const os::StepCtx &ctx, sim::Time budget)
+{
+    sim::Time delay = service_.spec().resilience.rpcDeadline;
+    if (budget != 0) {
+        const sim::Time at = now(ctx);
+        const sim::Time rem = budget > at ? budget - at : 1;
+        if (delay == 0 || rem < delay)
+            delay = rem;
+    }
+    if (delay > 0)
+        armRpcTimer(ctx, delay);
+}
+
+bool
+Worker::admitCall(const os::StepCtx &ctx, const RpcCallSpec &call,
+                  bool budgetDead, unsigned attempts,
+                  unsigned breakerAttempts)
+{
+    const std::uint64_t traceId = req_.msg.traceId;
+    if (attempts == 0) {
+        if (service_.spec().resilience.any())
+            service_.stats().rpcCallsStarted++;
+        service_.retryBudget().onFresh();
+        if (call.optional && service_.brownoutActive()) {
+            // Brownout: the limiter is congested, so shed this
+            // optional edge outright. The response is NOT degraded --
+            // optional means the caller renders fine without it.
+            service_.stats().rpcBrownoutSkipped++;
+            service_.noteOutcome(*this, trace::OutcomeKind::RpcCancelled,
+                                 call.target, call.endpoint, 0, traceId,
+                                 "brownout");
+            return false;
+        }
+    }
+    if (budgetDead) {
+        // Budget already exhausted: fail fast without putting anything
+        // on the wire. A fresh call settles as cancelled; a retry
+        // whose budget ran out settles as the timeout it is.
+        service_.noteOutcome(*this,
+                             attempts == 0
+                                 ? trace::OutcomeKind::RpcCancelled
+                                 : trace::OutcomeKind::RpcTimeout,
+                             call.target, call.endpoint, attempts,
+                             traceId, "budget_exhausted");
+        req_.degraded = true;
+        return false;
+    }
+    CircuitBreaker *cb = service_.breaker(call.target);
+    if (cb && !cb->allowRequest(now(ctx))) {
+        service_.noteOutcome(*this, trace::OutcomeKind::RpcBreakerOpen,
+                             call.target, call.endpoint, breakerAttempts,
+                             traceId);
+        req_.degraded = true;
+        return false;
+    }
+    return true;
+}
+
+void
+Worker::sendAttempt(os::StepCtx &ctx, Attempt &a, const RpcCallSpec &call,
+                    std::size_t replica, sim::Time deadline)
+{
+    a.target = call.target;
+    a.endpoint = call.endpoint;
+    a.replica = replica;
+    a.conn = downConn(call.target, replica);
+    service_.balancer(call.target).onSend(replica);
+
+    os::Message req;
+    req.kind = os::MsgKind::Request;
+    req.bytes = call.requestBytes;
+    req.endpoint = call.endpoint;
+    req.tag = service_.nextTag();
+    req.traceId = req_.msg.traceId;
+    req.parentSpan = req_.serverSpan;
+    req.sendTime = now(ctx);
+    req.deadline = deadline;
+    // Priority rides downstream with every hop, like the deadline: a
+    // child call works at its root's priority.
+    req.priority = req_.msg.priority;
+    a.tag = req.tag;
+    a.open = true;
+    probeSyscall(SysKind::SocketWrite, req.bytes);
+    if (service_.probe()) {
+        service_.probe()->onRpcIssued(*this, call.target, call.endpoint,
+                                      call.requestBytes,
+                                      call.responseBytes);
+    }
+    if (service_.tracer()) {
+        ServiceInstance *target = service_.downstream(call.target);
+        service_.tracer()->recordEdge(trace::RpcEdge{
+            req.traceId, req.parentSpan, service_.name(),
+            target ? target->name() : "?", call.endpoint,
+            call.requestBytes, call.responseBytes,
+            deadline > req.sendTime
+                ? static_cast<std::uint64_t>(deadline - req.sendTime)
+                : 0});
+    }
+    service_.stats().txBytes += call.requestBytes;
+    ctx.kernel.sysSocketWrite(ctx, *this, *a.conn, std::move(req));
+}
+
+Worker::Attempt *
+Worker::matchReply(std::uint64_t tag)
+{
+    for (Attempt &a : rpcState_.attempts) {
+        if (a.open && a.tag == tag)
+            return &a;
+    }
+    return nullptr;
+}
+
+void
+Worker::acceptReply(Attempt &a, const os::Message &resp)
+{
+    // The delivery that made the reply readable already took this
+    // worker off `a.conn`'s wait list (Socket::push wakes its sole
+    // waiter), so unlike abandonAttempt there is nothing to leave.
+    probeSyscall(SysKind::SocketRead, resp.bytes);
+    service_.balancer(a.target).onDone(a.replica);
+    a.open = false;
+}
+
+void
+Worker::dropStaleReply(const os::Message &resp)
+{
+    // Late reply to an abandoned attempt. The bytes were still
+    // delivered and read off the socket, so they count toward rx
+    // traffic and the syscall profile.
+    service_.stats().rpcStaleResponses++;
+    service_.stats().rxBytes += resp.bytes;
+    probeSyscall(SysKind::SocketRead, resp.bytes);
+}
+
+void
+Worker::abandonAttempt(os::StepCtx *ctx, Attempt &a)
+{
+    a.conn->removeWaiter(this);
+    service_.balancer(a.target).onDone(a.replica);
+    if (ctx && service_.spec().resilience.cancellation)
+        sendCancelMsg(*ctx, a.conn, a.tag, req_.msg.traceId);
+    a.open = false;
+}
+
+void
+Worker::settleOk(const Attempt &a, trace::OutcomeKind kind,
+                 unsigned attempts, const os::Message &resp)
+{
+    if (CircuitBreaker *cb = service_.breaker(a.target))
+        cb->onSuccess();
+    if (service_.spec().resilience.any()) {
+        service_.noteOutcome(*this, kind, a.target, a.endpoint, attempts,
+                             req_.msg.traceId);
+    }
+    service_.stats().rxBytes += resp.bytes;
+    // A degraded downstream answer degrades our own response.
+    if (resp.status != os::MsgStatus::Ok)
+        req_.degraded = true;
+}
+
 void
 Worker::sendCancelMsg(os::StepCtx &ctx, os::Socket *conn,
                       std::uint64_t tag, std::uint64_t traceId)
@@ -1349,13 +1258,12 @@ Worker::releaseHeldLocks()
 void
 Worker::detachFromBlockers()
 {
-    if (rpcState_.conn)
-        rpcState_.conn->removeWaiter(this);
-    if (rpcState_.hedgeConn)
-        rpcState_.hedgeConn->removeWaiter(this);
-    for (os::Socket *sock : rpcState_.fanoutConns) {
-        if (sock)
-            sock->removeWaiter(this);
+    // Only the wait-list part of abandonAttempt: this runs outside the
+    // worker's slice, so the balancer slots and cancel chases are left
+    // to settleOpenCalls on the worker's next slice.
+    for (Attempt &a : rpcState_.attempts) {
+        if (a.open)
+            a.conn->removeWaiter(this);
     }
     const Op *op = runner_.currentOp();
     if (op && op->kind == OpKind::Lock) {
@@ -1368,58 +1276,26 @@ Worker::detachFromBlockers()
 void
 Worker::settleOpenCalls(os::StepCtx *ctx, const char *cause)
 {
+    // Each async fanout call settles on its own; a sync call settles
+    // once, whether its primary (and hedge) are in flight or it is
+    // backing off between attempts.
     RpcState &rs = rpcState_;
-    const ResilienceSpec &res = service_.spec().resilience;
-    const std::uint64_t traceId = req_.msg.traceId;
-    const bool chase = ctx != nullptr && res.cancellation;
-    if (rs.callOpen) {
-        if (rs.attemptOpen && rs.conn) {
-            rs.conn->removeWaiter(this);
-            service_.balancer(rs.callTarget).onDone(rs.replica);
-            if (chase && rs.waitTag != 0)
-                sendCancelMsg(*ctx, rs.conn, rs.waitTag, traceId);
-            if (rs.hedgeConn) {
-                rs.hedgeConn->removeWaiter(this);
-                service_.balancer(rs.callTarget)
-                    .onDone(rs.hedgeReplica);
-                if (chase && rs.hedgeTag != 0) {
-                    sendCancelMsg(*ctx, rs.hedgeConn, rs.hedgeTag,
-                                  traceId);
-                }
-            }
-        }
-        if (res.any()) {
-            service_.noteOutcome(*this,
-                                 trace::OutcomeKind::RpcCancelled,
-                                 rs.callTarget, rs.callEndpoint,
-                                 rs.attempt, traceId, cause);
-        }
-        rs.callOpen = false;
-        rs.attemptOpen = false;
-    }
-    std::uint64_t pending = rs.fanoutPending;
-    for (std::size_t i = 0;
-         pending != 0 && i < rs.fanoutConns.size(); ++i) {
-        if (!(pending & (std::uint64_t{1} << i)))
+    const bool async = service_.spec().clientModel == ClientModel::Async;
+    const bool note = service_.spec().resilience.any();
+    auto cancelled = [&](const Attempt &a, unsigned attempts) {
+        service_.noteOutcome(*this, trace::OutcomeKind::RpcCancelled,
+                             a.target, a.endpoint, attempts,
+                             req_.msg.traceId, cause);
+    };
+    for (Attempt &a : rs.attempts) {
+        if (!a.open)
             continue;
-        if (rs.fanoutConns[i]) {
-            rs.fanoutConns[i]->removeWaiter(this);
-            service_.balancer(rs.fanoutTargets[i])
-                .onDone(rs.fanoutReplicas[i]);
-            if (chase && rs.fanoutTags[i] != 0) {
-                sendCancelMsg(*ctx, rs.fanoutConns[i],
-                              rs.fanoutTags[i], traceId);
-            }
-        }
-        if (res.any()) {
-            service_.noteOutcome(*this,
-                                 trace::OutcomeKind::RpcCancelled,
-                                 rs.fanoutTargets[i],
-                                 rs.fanoutEndpoints[i], 1, traceId,
-                                 cause);
-        }
+        abandonAttempt(ctx, a);
+        if (async && note)
+            cancelled(a, 1);
     }
-    rs.fanoutPending = 0;
+    if (!async && rs.attempt > 0 && note)
+        cancelled(rs.attempts.front(), rs.attempt);
 }
 
 void

@@ -560,79 +560,56 @@ class Worker : public os::Thread
     CurrentRequest &currentRequest() { return req_; }
 
     /**
+     * One downstream attempt: the sync call's primary or hedge, or one
+     * call of an async fanout. Open from its send until its reply is
+     * accepted or it is abandoned; an open attempt holds a balancer
+     * slot on (target, replica) and may park this worker on `conn`.
+     */
+    struct Attempt
+    {
+        std::uint32_t target = 0;
+        std::uint32_t endpoint = 0;
+        std::size_t replica = 0;
+        os::Socket *conn = nullptr;
+        std::uint64_t tag = 0;  //!< request tag its reply carries
+        bool open = false;
+    };
+
+    /**
      * Per-worker state of the in-flight Rpc op (one Rpc op runs at a
-     * time per worker, so a single slot suffices). Holds the attempt
-     * counter, the tag the worker is waiting for, and the armed
-     * deadline/backoff timer.
+     * time per worker, so a single slot suffices): the call-level
+     * attempt counter, backoff and timers, plus the attempts in flight.
      */
     struct RpcState
     {
-        unsigned attempt = 0;      //!< attempts made for current call
-        std::uint64_t waitTag = 0; //!< tag of the outstanding attempt
+        unsigned attempt = 0;      //!< attempts made for the sync call
         sim::EventId timer = 0;    //!< pending deadline/backoff event
         bool timerFired = false;
         bool inBackoff = false;
-        /** Connection the outstanding sync attempt was sent on. */
-        os::Socket *conn = nullptr;
-        /** Replica index the outstanding sync attempt targets. */
-        std::size_t replica = 0;
-        // ---- lifecycle bookkeeping (conservation + cancellation) ----
-        bool callOpen = false;       //!< logical sync call unsettled
-        bool attemptOpen = false;    //!< attempt onSend'd, not onDone'd
-        std::uint32_t callTarget = 0;
-        std::uint32_t callEndpoint = 0;
-        /** Absolute deadline forwarded to the callee; 0 none. */
+        /** Absolute deadline forwarded with the sync call; 0 none. */
         sim::Time sendDeadline = 0;
         // ---- hedging -------------------------------------------------
         sim::EventId hedgeTimer = 0;
         bool hedgeFired = false;
         bool hedgeLaunched = false;  //!< sticky per call: one hedge max
-        std::uint64_t hedgeTag = 0;
-        os::Socket *hedgeConn = nullptr;
-        std::size_t hedgeReplica = 0;
-        /** Expected response tags of an async fanout, by call idx. */
-        std::vector<std::uint64_t> fanoutTags;
-        /** Chosen connection / replica of each async fanout call. */
-        std::vector<os::Socket *> fanoutConns;
-        std::vector<std::size_t> fanoutReplicas;
-        /** Mirror of frame.aux pending bitmask (for cancellation). */
-        std::uint64_t fanoutPending = 0;
-        std::vector<std::uint32_t> fanoutTargets;
-        std::vector<std::uint32_t> fanoutEndpoints;
+        /**
+         * Sync: {primary, hedge}, sized at the call's first send.
+         * Async: one per fanout call, by call index.
+         */
+        std::vector<Attempt> attempts;
 
         /**
          * Return to the default-constructed state while keeping the
-         * fanout vectors' capacity. One RpcState is recycled per RPC
-         * per worker, so reassigning a fresh `RpcState{}` here would
-         * free and reallocate five vectors on every call.
+         * capacity of `attempts`: one RpcState is recycled per RPC
+         * per worker.
          */
         void
         reset()
         {
-            attempt = 0;
-            waitTag = 0;
-            timer = 0;
-            timerFired = false;
-            inBackoff = false;
-            conn = nullptr;
-            replica = 0;
-            callOpen = false;
-            attemptOpen = false;
-            callTarget = 0;
-            callEndpoint = 0;
-            sendDeadline = 0;
-            hedgeTimer = 0;
-            hedgeFired = false;
-            hedgeLaunched = false;
-            hedgeTag = 0;
-            hedgeConn = nullptr;
-            hedgeReplica = 0;
-            fanoutTags.clear();
-            fanoutConns.clear();
-            fanoutReplicas.clear();
-            fanoutPending = 0;
-            fanoutTargets.clear();
-            fanoutEndpoints.clear();
+            std::vector<Attempt> keep = std::move(attempts);
+            keep.clear();
+            *this = RpcState{};
+            attempts = std::move(keep);
         }
     };
 
@@ -657,6 +634,63 @@ class Worker : public os::Thread
      * slice (chasing in-flight downstream attempts with cancels).
      */
     void requestCancel(os::Socket &sock, std::uint64_t tag);
+
+    // ---- per-attempt steps of the Rpc op, shared by both client
+    // models and by the timeout, crash and upstream-cancel paths -----
+
+    /** End-to-end budget of downstream calls (absolute); 0 none. */
+    sim::Time hopBudget() const;
+
+    /** Deadline to forward with an attempt sent now; 0 none. */
+    sim::Time forwardDeadline(const os::StepCtx &ctx,
+                              sim::Time budget) const;
+
+    /** Arm the attempt deadline: rpcDeadline capped by `budget`. */
+    void armAttemptTimer(const os::StepCtx &ctx, sim::Time budget);
+
+    /**
+     * Admit one call before an attempt is sent: on a fresh call
+     * (`attempts` == 0) count it and skip it if brownout sheds its
+     * optional edge; then fail fast when `budgetDead`, then check the
+     * breaker. A refused call is settled here, recording `attempts`
+     * (`breakerAttempts` for a breaker refusal).
+     * @retval true the attempt may be sent.
+     */
+    bool admitCall(const os::StepCtx &ctx, const RpcCallSpec &call,
+                   bool budgetDead, unsigned attempts,
+                   unsigned breakerAttempts);
+
+    /**
+     * Send an attempt of `call` to `replica`: take a balancer slot,
+     * write the request with the forwarded `deadline`, open `a`.
+     */
+    void sendAttempt(os::StepCtx &ctx, Attempt &a,
+                     const RpcCallSpec &call, std::size_t replica,
+                     sim::Time deadline);
+
+    /** The open attempt whose reply carries `tag`, or nullptr. */
+    Attempt *matchReply(std::uint64_t tag);
+
+    /** Take `resp` as `a`'s reply: release its slot and close it. */
+    void acceptReply(Attempt &a, const os::Message &resp);
+
+    /** Account a reply no open attempt is waiting for. */
+    void dropStaleReply(const os::Message &resp);
+
+    /**
+     * Give up on open attempt `a`: leave its wait list, release its
+     * balancer slot and, when `ctx` is non-null and the spec opts
+     * into cancellation, chase it with MsgKind::Cancel. `ctx` is null
+     * on the crash path (a crashed process sends nothing).
+     */
+    void abandonAttempt(os::StepCtx *ctx, Attempt &a);
+
+    /**
+     * Settle a call answered through attempt `a`: breaker success,
+     * outcome `kind` with `attempts`, and the reply's bytes/status.
+     */
+    void settleOk(const Attempt &a, trace::OutcomeKind kind,
+                  unsigned attempts, const os::Message &resp);
 
     /** Send a MsgKind::Cancel chasing `tag` down `conn`. */
     void sendCancelMsg(os::StepCtx &ctx, os::Socket *conn,
@@ -707,10 +741,8 @@ class Worker : public os::Thread
     void finishCancelledRequest(os::StepCtx &ctx);
     /**
      * Settle every unsettled downstream call of the current request
-     * as RpcCancelled: release balancer slots and waiter entries and,
-     * when `ctx` is non-null and the spec opts into cancellation,
-     * chase the in-flight attempts with MsgKind::Cancel. `ctx` is
-     * null on the crash path (a crashed process sends nothing).
+     * as RpcCancelled, abandoning its open attempts (see
+     * abandonAttempt for `ctx`).
      */
     void settleOpenCalls(os::StepCtx *ctx, const char *cause);
     void detachFromBlockers();

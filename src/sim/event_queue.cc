@@ -3,31 +3,11 @@
 #include <algorithm>
 #include <bit>
 #include <cassert>
-#include <cstdlib>
-#include <string_view>
 
 namespace ditto::sim {
 
-EventQueue::EventQueue() : EventQueue(defaultBackend())
+EventQueue::EventQueue() : wheel_(std::make_unique<WheelState>())
 {
-}
-
-EventQueue::EventQueue(Backend backend) : backend_(backend)
-{
-    if (backend_ == Backend::Wheel)
-        wheel_ = std::make_unique<WheelState>();
-}
-
-EventQueue::Backend
-EventQueue::defaultBackend()
-{
-    static const Backend kDefault = [] {
-        const char *env = std::getenv("DITTO_EVENT_QUEUE");
-        return env && std::string_view(env) == "heap"
-            ? Backend::Heap
-            : Backend::Wheel;
-    }();
-    return kDefault;
 }
 
 EventId
@@ -71,10 +51,7 @@ EventQueue::scheduleAt(Time when, Callback cb)
     assert(cb && "scheduling a null callback");
     const Time effective = std::max(when, now_);
     const EventId id = makeEvent(std::move(cb));
-    if (backend_ == Backend::Wheel)
-        wheelInsert(effective, id);
-    else
-        heap_.push(QueueItem{effective, id});
+    wheelInsert(effective, id);
     return id;
 }
 
@@ -97,7 +74,7 @@ EventQueue::cancel(EventId id)
     s.cb.reset();  // release captured resources immediately
     freeSlots_.push_back(slot);
     --liveEvents_;
-    // The wheel slot (or heap) still holds a stale item for this id;
+    // The wheel slot (or far heap) still holds a stale item for this id;
     // it is recognised (sequence mismatch / non-pending slot) and
     // dropped during compaction, cascade, or pop.
     return true;
@@ -275,32 +252,14 @@ EventQueue::wheelPopFront()
     return item;
 }
 
-// ---- heap internals -------------------------------------------------
-
-bool
-EventQueue::heapSkimDead()
-{
-    while (!heap_.empty() && !isLive(heap_.top().id))
-        heap_.pop();
-    return !heap_.empty();
-}
-
 // ---- execution ------------------------------------------------------
 
 bool
 EventQueue::runOne()
 {
-    QueueItem item;
-    if (backend_ == Backend::Wheel) {
-        if (wheelNextLiveTime(kTimeNever) == kTimeNever)
-            return false;
-        item = wheelPopFront();
-    } else {
-        if (!heapSkimDead())
-            return false;
-        item = heap_.top();
-        heap_.pop();
-    }
+    if (wheelNextLiveTime(kTimeNever) == kTimeNever)
+        return false;
+    const QueueItem item = wheelPopFront();
     assert(item.when >= now_ && "time went backwards");
     now_ = item.when;
     Callback cb = takeCallback(item.id);
@@ -314,12 +273,7 @@ EventQueue::runUntil(Time limit)
 {
     std::uint64_t count = 0;
     for (;;) {
-        Time next;
-        if (backend_ == Backend::Wheel) {
-            next = wheelNextLiveTime(limit);
-        } else {
-            next = heapSkimDead() ? heap_.top().when : kTimeNever;
-        }
+        const Time next = wheelNextLiveTime(limit);
         if (next == kTimeNever || next > limit)
             break;
         if (!runOne())

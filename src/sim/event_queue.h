@@ -13,24 +13,16 @@
  * ABA-safe because the sequence number in the id's high bits is never
  * reused.
  *
- * Two interchangeable timer backends order the 16-byte POD items
- * {when, id}:
- *
- *  - Backend::Wheel (default): a hierarchical timing wheel, 4 levels
- *    of 256 slots at 1ns resolution (spans 256ns / 64us / 16.7ms /
- *    4.29s ahead of the cascade cursor), with a min-heap holding the
- *    far overflow (> 2^32 ns ahead). Schedule and cancel are O(1);
- *    dispatch walks per-level occupancy bitmaps and cascades one slot
- *    at a time, so cost per event is O(1) amortised and independent
- *    of the pending population.
- *  - Backend::Heap: the legacy std::priority_queue binary heap
- *    (O(log n) schedule/pop), kept for differential testing.
- *
- * Both backends execute live items in exactly (when, sequence) order,
- * so a simulation's output is bit-identical under either (asserted by
- * the differential tests in tests/test_sim.cc). The environment
- * variable DITTO_EVENT_QUEUE=heap flips default-constructed queues to
- * the legacy backend process-wide.
+ * Timers are ordered as 16-byte POD items {when, id} in a
+ * hierarchical timing wheel: 4 levels of 256 slots at 1ns resolution
+ * (spans 256ns / 64us / 16.7ms / 4.29s ahead of the cascade cursor),
+ * with a min-heap holding the far overflow (> 2^32 ns ahead). Schedule
+ * and cancel are O(1); dispatch walks per-level occupancy bitmaps and
+ * cascades one slot at a time, so cost per event is O(1) amortised and
+ * independent of the pending population. Live items execute in exactly
+ * (when, sequence) order, the order a binary heap would give (asserted
+ * against a heap oracle by the differential tests in
+ * tests/test_sim.cc).
  */
 
 #ifndef DITTO_SIM_EVENT_QUEUE_H_
@@ -64,23 +56,9 @@ class EventQueue
   public:
     using Callback = InlineCallback;
 
-    /** Timer-ordering backend (see file comment). */
-    enum class Backend : std::uint8_t
-    {
-        Wheel,  //!< hierarchical timing wheel (default)
-        Heap,   //!< legacy binary heap, for differential testing
-    };
-
-    /** Uses defaultBackend() (Wheel unless DITTO_EVENT_QUEUE=heap). */
     EventQueue();
-    explicit EventQueue(Backend backend);
     EventQueue(const EventQueue &) = delete;
     EventQueue &operator=(const EventQueue &) = delete;
-
-    /** Backend selected by the DITTO_EVENT_QUEUE env var (cached). */
-    static Backend defaultBackend();
-
-    Backend backend() const { return backend_; }
 
     /** Current simulated time. */
     Time now() const { return now_; }
@@ -129,7 +107,7 @@ class EventQueue
     static constexpr std::uint64_t kSlotMask =
         (std::uint64_t{1} << kSlotBits) - 1;
 
-    /** 16-byte POD ordering item shared by both backends. */
+    /** 16-byte POD ordering item. */
     struct QueueItem
     {
         Time when;
@@ -185,10 +163,6 @@ class EventQueue
         Time cursor = 0;
     };
 
-    Backend backend_;
-    std::priority_queue<QueueItem, std::vector<QueueItem>,
-                        std::greater<>>
-        heap_;
     std::unique_ptr<WheelState> wheel_;
     std::vector<Slot> slots_;
     std::vector<std::uint32_t> freeSlots_;
@@ -226,10 +200,6 @@ class EventQueue
     Time wheelNextLiveTime(Time bound);
     /** Pop the (when, min-seq) live item of the earliest L0 slot. */
     QueueItem wheelPopFront();
-
-    // ---- heap internals ---------------------------------------------
-    /** Drop dead heap tops; false when the heap drained. */
-    bool heapSkimDead();
 };
 
 } // namespace ditto::sim

@@ -204,6 +204,38 @@ TEST(ServiceRuntime, AsyncFanoutFasterThanSyncSequence)
     EXPECT_LT(async, sync);
 }
 
+TEST(ServiceRuntime, WideAsyncFanoutConservesCalls)
+{
+    // A fanout wider than 64 calls: every started call must settle in
+    // exactly one outcome bucket and no reply may be mistaken for a
+    // stale one, however many legs are in flight at once.
+    Harness h;
+    h.dep.deploy(baseService("leaf", app::ServerModel::IoMultiplex),
+                 h.machine);
+    ServiceSpec root = baseService("root", app::ServerModel::IoMultiplex);
+    root.clientModel = app::ClientModel::Async;
+    root.downstreams = {"leaf"};
+    root.resilience.rpcDeadline = sim::milliseconds(50);
+    root.endpoints[0].handler.ops = {app::opRpcFanout(
+        std::vector<app::RpcCallSpec>(70, app::RpcCallSpec{}))};
+    app::ServiceInstance &fe = h.dep.deploy(root, h.machine);
+    h.dep.wireAll();
+    auto gen = h.drive(fe, 200, 2);
+    gen.start();
+    h.dep.runFor(sim::milliseconds(100));
+    gen.stop();
+    h.dep.runFor(sim::milliseconds(200));
+
+    const app::ServiceStats &s = fe.stats();
+    EXPECT_GT(s.rpcCallsStarted, 0u);
+    EXPECT_EQ(s.rpcCallsStarted % 70, 0u);
+    EXPECT_EQ(s.rpcCallsStarted, s.rpcOk + s.rpcTimeouts +
+                                     s.rpcBreakerFastFails +
+                                     s.rpcCancelled);
+    EXPECT_EQ(s.rpcStaleResponses, 0u);
+    EXPECT_EQ(gen.completedOk(), gen.sent());
+}
+
 TEST(ServiceRuntime, LockSerializesCriticalSection)
 {
     Harness h;

@@ -5,9 +5,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <functional>
 #include <map>
+#include <queue>
 #include <utility>
 #include <vector>
 
@@ -351,11 +353,104 @@ TEST(Time, UnitConversions)
 
 // ---- wheel-vs-heap differential tests -------------------------------
 //
-// Both timer backends must execute the same workload in exactly the
-// same (when, sequence) order -- the bit-identical-output contract of
-// DESIGN.md §8. Each workload below is generated once from a seed and
-// replayed verbatim against a Wheel and a Heap queue; the per-event
-// execution logs (label, now) and executedCount() must match.
+// The timing wheel must execute any workload in exactly the (when,
+// sequence) order a binary heap gives -- the bit-identical-output
+// contract of DESIGN.md §8. Each workload below is generated once from
+// a seed and replayed verbatim against an EventQueue and HeapQueue;
+// the per-event execution logs (label, now) and executedCount() must
+// match.
+
+/**
+ * Reference queue: the binary-heap timer backend the wheel replaced,
+ * kept only as the differential oracle. Live events run in (when,
+ * schedule order); past timestamps clamp to now(); cancel leaves a
+ * tombstone the pop skips; runUntil() advances now() to its limit.
+ */
+class HeapQueue
+{
+  public:
+    Time now() const { return now_; }
+    std::size_t size() const { return live_; }
+    std::uint64_t executedCount() const { return executed_; }
+
+    EventId
+    scheduleAt(Time when, std::function<void()> cb)
+    {
+        const EventId id = callbacks_.size();
+        callbacks_.push_back(std::move(cb));
+        heap_.emplace(std::max(when, now_), id);
+        ++live_;
+        return id;
+    }
+
+    EventId
+    scheduleAfter(Time delay, std::function<void()> cb)
+    {
+        return scheduleAt(now_ + delay, std::move(cb));
+    }
+
+    bool
+    cancel(EventId id)
+    {
+        if (id >= callbacks_.size() || !callbacks_[id])
+            return false;
+        callbacks_[id] = nullptr;
+        --live_;
+        return true;
+    }
+
+    bool
+    runOne()
+    {
+        if (!skimDead())
+            return false;
+        const auto [when, id] = heap_.top();
+        heap_.pop();
+        now_ = when;
+        std::function<void()> cb = std::move(callbacks_[id]);
+        callbacks_[id] = nullptr;
+        --live_;
+        ++executed_;
+        cb();
+        return true;
+    }
+
+    std::uint64_t
+    runUntil(Time limit)
+    {
+        std::uint64_t count = 0;
+        while (skimDead() && heap_.top().first <= limit && runOne())
+            ++count;
+        now_ = std::max(now_, limit);
+        return count;
+    }
+
+    std::uint64_t
+    runAll()
+    {
+        std::uint64_t count = 0;
+        while (runOne())
+            ++count;
+        return count;
+    }
+
+  private:
+    using Item = std::pair<Time, EventId>;  //!< (when, schedule order)
+    std::priority_queue<Item, std::vector<Item>, std::greater<>> heap_;
+    std::vector<std::function<void()>> callbacks_;  //!< null once dead
+    Time now_ = 0;
+    std::size_t live_ = 0;
+    std::uint64_t executed_ = 0;
+
+    /** Drop dead heap tops; false when the heap drained. */
+    bool
+    skimDead()
+    {
+        while (!heap_.empty() && !callbacks_[heap_.top().second])
+            heap_.pop();
+        return !heap_.empty();
+    }
+};
 
 /** One generated timer workload action. */
 struct DiffOp
@@ -373,8 +468,9 @@ struct DiffOp
 };
 
 /** Replay `ops` on one queue; returns the execution log. */
+template <typename Queue>
 std::vector<std::pair<std::size_t, Time>>
-replayOps(EventQueue &q, const std::vector<DiffOp> &ops)
+replayOps(Queue &q, const std::vector<DiffOp> &ops)
 {
     std::vector<std::pair<std::size_t, Time>> log;
     std::vector<EventId> ids;
@@ -418,8 +514,8 @@ replayOps(EventQueue &q, const std::vector<DiffOp> &ops)
 void
 expectBackendsAgree(const std::vector<DiffOp> &ops)
 {
-    EventQueue wheel(EventQueue::Backend::Wheel);
-    EventQueue heap(EventQueue::Backend::Heap);
+    EventQueue wheel;
+    HeapQueue heap;
     const auto wheelLog = replayOps(wheel, ops);
     const auto heapLog = replayOps(heap, ops);
     ASSERT_EQ(wheelLog.size(), heapLog.size());
@@ -550,19 +646,6 @@ TEST(EventQueueDifferential, MixedStress)
         }
         expectBackendsAgree(ops);
     }
-}
-
-TEST(EventQueueBackends, EnvVarSelectsDefault)
-{
-    // The cached default is process-wide; just check the accessor
-    // reports whichever backend a default-constructed queue got and
-    // that an explicit choice overrides it.
-    EventQueue dflt;
-    EXPECT_EQ(dflt.backend(), EventQueue::defaultBackend());
-    EventQueue heap(EventQueue::Backend::Heap);
-    EXPECT_EQ(heap.backend(), EventQueue::Backend::Heap);
-    EventQueue wheel(EventQueue::Backend::Wheel);
-    EXPECT_EQ(wheel.backend(), EventQueue::Backend::Wheel);
 }
 
 } // namespace
