@@ -21,6 +21,7 @@
 #include "obs/jaeger.h"
 #include "obs/metrics.h"
 #include "obs/register.h"
+#include "os/machine.h"
 #include "profile/stack_distance.h"
 #include "sim/event_queue.h"
 #include "sim/run_executor.h"
@@ -192,9 +193,12 @@ BM_CachePollute(benchmark::State &state)
     for (std::uint64_t l = 0; l < valid; ++l)
         filled.access(l * 64, false);
     std::uint64_t salt = 0;
+    // Assigned, not declared, in the loop, so that releasing the last
+    // copy is paused too: freeing its arrays can trim the heap.
+    hw::Cache cache = filled;
     for (auto _ : state) {
         state.PauseTiming();
-        hw::Cache cache = filled;
+        cache = filled;
         state.ResumeTiming();
         cache.invalidateFraction(0.075, ++salt);
         benchmark::DoNotOptimize(cache.stats().invalidations);
@@ -202,6 +206,21 @@ BM_CachePollute(benchmark::State &state)
     state.counters["valid_lines"] = static_cast<double>(valid);
 }
 BENCHMARK(BM_CachePollute)->Arg(1)->Arg(25)->Arg(100);
+
+static void
+BM_MachineConstruct(benchmark::State &state)
+{
+    // Building and tearing down one Platform A machine: 133 caches
+    // (44 cores' L1i, L1d and L2, plus the LLC) and the OS around
+    // them, as every pass of a benchmark does per simulated node.
+    sim::EventQueue events;
+    const hw::PlatformSpec spec = hw::platformA();
+    for (auto _ : state) {
+        os::Machine m("n", spec, events, 1);
+        benchmark::DoNotOptimize(m.llc().sets());
+    }
+}
+BENCHMARK(BM_MachineConstruct)->Unit(benchmark::kMicrosecond);
 
 static void
 BM_BranchPredictor(benchmark::State &state)

@@ -8,10 +8,14 @@
  * reports topology shape, delivered load, executed simulation events,
  * end-to-end p95, and the autoscaler's actions; wall-clock and
  * per-event ns go to stderr and BENCH_pipeline.json (the
- * "scale_per_event_ns" entry). The sweep fans out on the RunExecutor
+ * "scale_per_event_ns" entry), and so does the process's peak RSS
+ * after the sweep ("scale_peak_rss_mb"; at --jobs 1 that is the
+ * 10k-service row's peak). The sweep fans out on the RunExecutor
  * and all stdout is printed after the ordered join, so output is
  * byte-identical at any --jobs.
  */
+
+#include <sys/resource.h>
 
 #include <cstdio>
 #include <functional>
@@ -210,6 +214,18 @@ main(int argc, char **argv)
     }
     perEvent += "}";
     bench::recordBenchEntry("scale_per_event_ns", perEvent);
+
+    // Peak memory of the whole sweep; ru_maxrss is in KiB on Linux.
+    rusage usage{};
+    getrusage(RUSAGE_SELF, &usage);
+    const double peakRssMb = static_cast<double>(usage.ru_maxrss) / 1024;
+    std::fprintf(stderr, "[scale] peak RSS %.1f MB (jobs=%u)\n",
+                 peakRssMb, rt.jobs());
+    char rss[64];
+    std::snprintf(rss, sizeof rss,
+                  "{\"peak_rss_mb\": %.1f, \"jobs\": %u}", peakRssMb,
+                  rt.jobs());
+    bench::recordBenchEntry("scale_peak_rss_mb", rss);
 
     rt.finish();
     return 0;

@@ -18,6 +18,7 @@
 #define DITTO_HW_BLOCK_BUILDER_H_
 
 #include <cstdint>
+#include <iterator>
 #include <string>
 #include <vector>
 
@@ -60,6 +61,9 @@ struct StreamSpec
     double weight = 1.0;
 };
 
+/** BlockSpec::branchKinds' default: one biased, one mixed behaviour. */
+inline constexpr BranchDesc kDefaultBranchKinds[] = {{1, 2}, {3, 3}};
+
 /** Full description of a block to author. */
 struct BlockSpec
 {
@@ -74,7 +78,8 @@ struct BlockSpec
     /** Fraction of instructions that are conditional branches. */
     double branchFraction = 0.12;
     /** Branch behaviours to draw sites from (uniformly). */
-    std::vector<BranchDesc> branchKinds = {{1, 2}, {3, 3}};
+    std::vector<BranchDesc> branchKinds{std::begin(kDefaultBranchKinds),
+                                        std::end(kDefaultBranchKinds)};
     /**
      * Dependency tightness in [0,1]: probability a source register
      * was written recently (short RAW distances limit ILP).

@@ -41,9 +41,46 @@ Cache::Cache(std::uint64_t capacityBytes, unsigned ways)
     setShift_ = static_cast<unsigned>(std::countr_zero(sets_));
     wayMask_ = ways_ == 64 ? ~std::uint64_t{0}
                            : (std::uint64_t{1} << ways_) - 1;
-    lines_.assign(sets_ * ways_, Line{});
+    const std::size_t lines = sets_ * ways_;
+    // Left unwritten: a fill writes a line's tag and stamp, and its
+    // valid bit guards every read, so pages of lines that are never
+    // filled are never touched.
+    tags_ = std::make_unique_for_overwrite<std::uint64_t[]>(lines);
+    stamps_ = std::make_unique_for_overwrite<std::uint64_t[]>(lines);
     // One padding word past the last line: see slotOf().
-    valid_.assign((lines_.size() + 63) / 64 + 1, 0);
+    valid_.assign((lines + 63) / 64 + 1, 0);
+    prefetched_.assign(valid_.size(), 0);
+}
+
+Cache::Cache(const Cache &other)
+    : capacity_(other.capacity_), ways_(other.ways_), sets_(other.sets_),
+      setMask_(other.setMask_), setShift_(other.setShift_),
+      wayMask_(other.wayMask_),
+      tags_(std::make_unique_for_overwrite<std::uint64_t[]>(
+          sets_ * ways_)),
+      stamps_(std::make_unique_for_overwrite<std::uint64_t[]>(
+          sets_ * ways_)),
+      valid_(other.valid_), prefetched_(other.prefetched_),
+      lastAccess_(other.lastAccess_), tick_(other.tick_),
+      stats_(other.stats_)
+{
+    // Only valid lines have a tag and stamp to copy.
+    for (std::size_t word = 0; word < valid_.size(); ++word) {
+        for (std::uint64_t m = valid_[word]; m; m &= m - 1) {
+            const std::size_t i =
+                word * 64 + static_cast<unsigned>(std::countr_zero(m));
+            tags_[i] = other.tags_[i];
+            stamps_[i] = other.stamps_[i];
+        }
+    }
+}
+
+Cache &
+Cache::operator=(const Cache &other)
+{
+    if (this != &other)
+        *this = Cache(other);
+    return *this;
 }
 
 // slotOf() and find() are on every access's hit path: keep them inline.
@@ -68,7 +105,7 @@ Cache::find(const Slot &slot) const
     for (std::uint64_t m = slot.valid; m; m &= m - 1) {
         const std::size_t i =
             slot.base + static_cast<unsigned>(std::countr_zero(m));
-        if (lines_[i].tag == slot.tag)
+        if (tags_[i] == slot.tag)
             return i;
     }
     return kAbsent;
@@ -85,15 +122,18 @@ Cache::allocate(const Slot &slot, bool prefetch)
         // Full set: the first least-recently-used way.
         i = slot.base;
         for (std::size_t w = slot.base + 1; w < slot.base + ways_; ++w) {
-            if (lines_[w].lastUse < lines_[i].lastUse)
+            if (stamps_[w] < stamps_[i])
                 i = w;
         }
         ++stats_.evictions;
     }
-    Line &line = lines_[i];
-    line.tag = slot.tag;
-    line.lastUse = tick_;
-    line.prefetched = prefetch;
+    tags_[i] = slot.tag;
+    stamps_[i] = tick_;
+    const std::uint64_t bit = std::uint64_t{1} << (i % 64);
+    if (prefetch)
+        prefetched_[i / 64] |= bit;
+    else
+        prefetched_[i / 64] &= ~bit;
     return i;
 }
 
@@ -105,12 +145,13 @@ Cache::access(std::uint64_t addr, bool /*isWrite*/)
     const Slot slot = slotOf(addr);
     const std::size_t i = find(slot);
     if (i != kAbsent) {
-        Line &line = lines_[i];
-        if (line.prefetched) {
+        std::uint64_t &prefetched = prefetched_[i / 64];
+        const std::uint64_t bit = std::uint64_t{1} << (i % 64);
+        if (prefetched & bit) {
             ++stats_.prefetchHits;
-            line.prefetched = false;
+            prefetched &= ~bit;
         }
-        line.lastUse = tick_;
+        stamps_[i] = tick_;
         return true;
     }
     ++stats_.misses;
@@ -125,7 +166,7 @@ Cache::fill(std::uint64_t addr, bool prefetch)
     const Slot slot = slotOf(addr);
     const std::size_t i = find(slot);
     if (i != kAbsent) {
-        lines_[i].lastUse = tick_;
+        stamps_[i] = tick_;
         return;
     }
     allocate(slot, prefetch);
@@ -137,7 +178,7 @@ void
 Cache::touchLastAccess()
 {
     ++tick_;
-    lines_[lastAccess_].lastUse = tick_;
+    stamps_[lastAccess_] = tick_;
 }
 
 // Inline: the prefetch path calls it several times per access, and
@@ -165,7 +206,7 @@ std::uint64_t
 Cache::recency(std::uint64_t addr) const
 {
     const std::size_t i = find(slotOf(addr));
-    return i == kAbsent ? 0 : lines_[i].lastUse;
+    return i == kAbsent ? 0 : stamps_[i];
 }
 
 bool

@@ -16,6 +16,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "hw/code.h"
@@ -59,15 +60,27 @@ struct CacheStats
  * than capacityBytes() reports (Platform A's 30.25 MB 11-way LLC
  * simulates 32,768 sets, about 22 MB).
  *
- * Validity lives in one bitmap, one bit per line in set-major order,
- * so lookups visit only a set's valid ways and invalidateFraction()
- * costs O(valid lines) rather than O(capacity).
+ * Lines are stored as structure-of-arrays in set-major order: a tag
+ * array, an LRU-stamp array, and two bitmaps with one bit per line,
+ * validity and "filled by a prefetch, not yet hit". A set's tags are
+ * contiguous, so a lookup reads only the set's valid-bit window and
+ * its tags, and invalidateFraction() costs O(valid lines) rather than
+ * O(capacity). The tag and stamp arrays are allocated but never
+ * written in bulk: a line's tag and stamp are first written when a
+ * fill takes its way, and every read is guarded by its valid bit, so
+ * a fresh page of lines a cache never uses takes no host memory.
  */
 class Cache
 {
   public:
     /** @throw std::invalid_argument if ways is 0 or above 64. */
     Cache(std::uint64_t capacityBytes, unsigned ways);
+
+    /** Copies the valid lines only; the copy is independent. */
+    Cache(const Cache &other);
+    Cache &operator=(const Cache &other);
+    Cache(Cache &&) noexcept = default;
+    Cache &operator=(Cache &&) noexcept = default;
 
     /**
      * Look up a line; on miss the line is filled (allocating on both
@@ -107,13 +120,6 @@ class Cache
   private:
     friend class CacheHierarchy;
 
-    struct Line
-    {
-        std::uint64_t tag = 0;
-        std::uint64_t lastUse = 0;
-        bool prefetched = false;
-    };
-
     /** An address's set: first line index, tag, valid-way mask. */
     struct Slot
     {
@@ -128,9 +134,17 @@ class Cache
     std::uint64_t setMask_;
     unsigned setShift_;
     std::uint64_t wayMask_;
-    std::vector<Line> lines_;
-    /** Bit i set iff lines_[i] holds a line; the only validity record. */
+    /** Line i's tag; written on allocation, read only while valid. */
+    std::unique_ptr<std::uint64_t[]> tags_;
+    /** Line i's LRU stamp (the tick of its last use), same rule. */
+    std::unique_ptr<std::uint64_t[]> stamps_;
+    /** Bit i set iff line i holds a line; the only validity record. */
     std::vector<std::uint64_t> valid_;
+    /**
+     * Bit i set iff line i was filled by a prefetch and not hit since;
+     * rewritten on every allocation, read only while valid.
+     */
+    std::vector<std::uint64_t> prefetched_;
     /** Line the last missing access() allocated. */
     std::size_t lastAccess_ = 0;
     std::uint64_t tick_ = 0;

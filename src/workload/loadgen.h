@@ -45,7 +45,8 @@ struct LoadSpec
     double qps = 1000;
     unsigned connections = 8;
     bool openLoop = true;
-    std::vector<EndpointLoad> endpoints = {EndpointLoad{}};
+    /** One default EndpointLoad: endpoint 0, 64-byte requests. */
+    std::vector<EndpointLoad> endpoints = std::vector<EndpointLoad>(1);
     /**
      * Client-side deadline per request; 0 disables. Expired requests
      * count as timedOut() (not completed()), and their late replies

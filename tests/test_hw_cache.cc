@@ -138,6 +138,106 @@ TEST(Cache, InvalidateFractionRemovesRoughlyThatShare)
                 static_cast<double>(lines) * 0.1);
 }
 
+TEST(Cache, PrefetchedFlagBelongsToTheLineNotTheWay)
+{
+    // One set of two ways: a fill takes the first free way.
+    constexpr std::uint64_t a = 0 * 64, b = 1 * 64, c = 2 * 64;
+
+    // A way that held a prefetched line is invalidated and refilled on
+    // demand: the new line is not a prefetch hit, by access or fill.
+    Cache refilled(128, 2);
+    ASSERT_EQ(refilled.sets(), 1u);
+    refilled.fill(a, true);
+    ASSERT_TRUE(refilled.invalidate(a));
+    EXPECT_FALSE(refilled.access(b, false));
+    EXPECT_TRUE(refilled.access(b, false));
+    refilled.fill(c, true);
+    ASSERT_TRUE(refilled.invalidate(c));
+    refilled.fill(a, false);
+    EXPECT_TRUE(refilled.access(a, false));
+    EXPECT_EQ(refilled.stats().prefetchFills, 2u);
+    EXPECT_EQ(refilled.stats().prefetchHits, 0u);
+
+    // fill(addr, true) of a present line leaves its flag alone, set
+    // or clear.
+    Cache present(128, 2);
+    present.access(a, false);
+    present.fill(a, true);
+    present.fill(b, true);
+    present.fill(b, true);
+    EXPECT_EQ(present.stats().prefetchFills, 1u);
+    EXPECT_TRUE(present.access(a, false));
+    EXPECT_EQ(present.stats().prefetchHits, 0u);
+    EXPECT_TRUE(present.access(b, false));
+    EXPECT_EQ(present.stats().prefetchHits, 1u);
+
+    // A hit clears the flag exactly once.
+    Cache hit(128, 2);
+    hit.fill(a, true);
+    EXPECT_TRUE(hit.access(a, false));
+    EXPECT_TRUE(hit.access(a, true));
+    EXPECT_TRUE(hit.access(a, false));
+    EXPECT_EQ(hit.stats().prefetchHits, 1u);
+}
+
+TEST(Cache, CopyIsIdenticalAndIndependent)
+{
+    // 8 sets x 4 ways, filled to about half with demand and prefetch
+    // fills, one set full enough to have evicted, one line invalidated.
+    Cache source(8 * 4 * 64, 4);
+    ASSERT_EQ(source.sets(), 8u);
+    const std::vector<std::uint64_t> addrs = {
+        0x000, 0x040, 0x200, 0x400, 0x600, 0x800, 0xa00, 0x0c0,
+        0x1c0, 0x3c0, 0x100};
+    for (std::size_t k = 0; k < addrs.size(); ++k)
+        source.fill(addrs[k], k % 3 == 0);
+    source.access(0x040, true);
+    source.access(0x000, false);
+    ASSERT_TRUE(source.invalidate(0x1c0));
+
+    auto snapshot = [&](const Cache &c) {
+        std::vector<std::uint64_t> s;
+        for (std::uint64_t l = 0; l < 64; ++l) {
+            s.push_back(c.probe(l * 64));
+            s.push_back(c.recency(l * 64));
+        }
+        const CacheStats &st = c.stats();
+        for (std::uint64_t v : {st.accesses, st.misses, st.evictions,
+                                st.invalidations, st.prefetchFills,
+                                st.prefetchHits})
+            s.push_back(v);
+        return s;
+    };
+    const std::vector<std::uint64_t> before = snapshot(source);
+
+    Cache copy = source;
+    Cache assigned(64, 1);
+    assigned.access(0x5000, false);
+    assigned = source;
+    EXPECT_EQ(snapshot(copy), before);
+    EXPECT_EQ(snapshot(assigned), before);
+
+    // The copies carry on exactly as the source would, prefetch flags
+    // and LRU order included.
+    for (Cache *c : {&source, &copy, &assigned}) {
+        c->access(0x000, false);
+        c->access(0xe00, false);
+        c->fill(0x640, true);
+    }
+    EXPECT_EQ(snapshot(copy), snapshot(source));
+    EXPECT_EQ(snapshot(assigned), snapshot(source));
+
+    // Changing one leaves the others alone.
+    const std::vector<std::uint64_t> after = snapshot(source);
+    copy.flush();
+    copy.access(0x000, false);
+    assigned.invalidateFraction(1.0, 7);
+    EXPECT_EQ(snapshot(source), after);
+    source.invalidate(0x000);
+    EXPECT_TRUE(copy.probe(0x000));
+    EXPECT_FALSE(assigned.probe(0x000));
+}
+
 TEST(CacheHierarchy, MissPathFillsAllLevels)
 {
     Cache llc(1 << 20, 16);

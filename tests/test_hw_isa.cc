@@ -50,11 +50,13 @@ TEST_P(IsaRowTest, RowInvariants)
             << info.iform;
     }
     // Branches are control-class.
-    if (info.isBranch)
+    if (info.isBranch) {
         EXPECT_EQ(info.cls, hw::InstClass::Control) << info.iform;
+    }
     // REP forms must declare a per-element cost.
-    if (info.cls == hw::InstClass::RepString)
+    if (info.cls == hw::InstClass::RepString) {
         EXPECT_GT(info.repPerElem, 0) << info.iform;
+    }
 }
 
 INSTANTIATE_TEST_SUITE_P(

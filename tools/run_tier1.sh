@@ -30,6 +30,10 @@
 # Environment:
 #   BUILD_DIR  build directory (default: build)
 #   CMAKE_ARGS extra configure flags, e.g. "-DDITTO_TSAN=ON"
+#
+# The tree builds warning-free under GCC's -Wall -Wextra; to fail on
+# any new warning, build with -Werror:
+#   CMAKE_ARGS=-DDITTO_WERROR=ON tools/run_tier1.sh
 
 set -eu
 
