@@ -218,54 +218,9 @@ probeTotal(const ChaosWorld &w, trace::OutcomeKind kind)
     return total;
 }
 
-/**
- * Client-side outcome counters, fillable from either client model
- * (LoadGen or WorkloadEngine) so the invariants are model-agnostic.
- */
-struct ClientCounts
-{
-    std::uint64_t sent = 0;
-    std::uint64_t ok = 0;
-    std::uint64_t error = 0;
-    std::uint64_t shed = 0;
-    std::uint64_t timedOut = 0;
-    std::uint64_t late = 0;
-    std::uint64_t cancels = 0;
-    std::uint64_t inFlight = 0;
-};
-
-ClientCounts
-countsOf(const workload::LoadGen &lg)
-{
-    ClientCounts cc;
-    cc.sent = lg.sent();
-    cc.ok = lg.completedOk();
-    cc.error = lg.completedError();
-    cc.shed = lg.completedShed();
-    cc.timedOut = lg.timedOut();
-    cc.late = lg.lateResponses();
-    cc.cancels = lg.cancelsSent();
-    return cc;
-}
-
-ClientCounts
-countsOf(const workload::WorkloadEngine &eng)
-{
-    ClientCounts cc;
-    cc.sent = eng.sent();
-    cc.ok = eng.completedOk();
-    cc.error = eng.completedError();
-    cc.shed = eng.completedShed();
-    cc.timedOut = eng.timedOut();
-    cc.late = eng.lateResponses();
-    cc.cancels = eng.cancelsSent();
-    cc.inFlight = eng.inFlight();
-    return cc;
-}
-
 void
 checkInvariants(const ChaosConfig &cfg, ChaosWorld &w,
-                const ClientCounts &cc,
+                const workload::Client &client,
                 std::vector<std::string> &out)
 {
     using trace::OutcomeKind;
@@ -300,19 +255,22 @@ checkInvariants(const ChaosConfig &cfg, ChaosWorld &w,
             (unsigned long long)net.bytesDropped()));
     }
 
-    // (3) Client-side conservation: every sent request settles (the
-    // in-flight term is zero after a sufficient drain).
-    const std::uint64_t settled =
-        cc.ok + cc.error + cc.shed + cc.timedOut + cc.inFlight;
-    if (cc.sent != settled) {
+    // (3) Client-side conservation: every sent request settles or
+    // is still in flight (calls left over after too short a drain
+    // are the orphan checks' to report).
+    const std::uint64_t settled = client.completedOk() +
+        client.completedError() + client.completedShed() +
+        client.timedOut() + client.inFlight();
+    if (client.sent() != settled) {
         out.push_back(format(
             "client-conservation: sent %llu != ok %llu + error %llu "
             "+ shed %llu + timeout %llu + in-flight %llu",
-            (unsigned long long)cc.sent, (unsigned long long)cc.ok,
-            (unsigned long long)cc.error,
-            (unsigned long long)cc.shed,
-            (unsigned long long)cc.timedOut,
-            (unsigned long long)cc.inFlight));
+            (unsigned long long)client.sent(),
+            (unsigned long long)client.completedOk(),
+            (unsigned long long)client.completedError(),
+            (unsigned long long)client.completedShed(),
+            (unsigned long long)client.timedOut(),
+            (unsigned long long)client.inFlight()));
     }
 
     // (4-7) Per-service books.
@@ -606,8 +564,7 @@ runPlan(const ChaosConfig &cfg, const fault::FaultPlan &plan)
 {
     ChaosWorld w(cfg);
 
-    std::unique_ptr<workload::LoadGen> lg;
-    std::unique_ptr<workload::WorkloadEngine> eng;
+    std::unique_ptr<workload::Client> client;
     if (cfg.sessions) {
         workload::WorkloadSpec ws;
         // A session averages (minCalls+maxCalls)/2 calls, so divide
@@ -629,7 +586,7 @@ runPlan(const ChaosConfig &cfg, const fault::FaultPlan &plan)
             ws.retry.backoff = sim::microseconds(200);
             ws.retry.budgetRatio = 0.1;
         }
-        eng = std::make_unique<workload::WorkloadEngine>(
+        client = std::make_unique<workload::WorkloadEngine>(
             w.dep, *w.root, ws, cfg.seed ^ 0x10adull);
     } else {
         workload::LoadSpec ls;
@@ -639,38 +596,30 @@ runPlan(const ChaosConfig &cfg, const fault::FaultPlan &plan)
         ls.timeout = cfg.clientTimeout;
         ls.propagateDeadline = true;
         ls.cancelOnTimeout = true;
-        lg = std::make_unique<workload::LoadGen>(
+        client = std::make_unique<workload::LoadGen>(
             w.dep, *w.root, ls, cfg.seed ^ 0x10adull);
     }
 
     fault::FaultInjector inj(w.dep);
     inj.install(plan);
 
-    if (eng)
-        eng->start();
-    else
-        lg->start();
+    client->start();
     w.dep.runFor(cfg.runFor);
-    if (eng)
-        eng->stop();
-    else
-        lg->stop();
+    client->stop();
     inj.clearAll();
     w.dep.runFor(cfg.drain);
 
-    const ClientCounts cc = eng ? countsOf(*eng) : countsOf(*lg);
-
     PlanRunResult result;
-    checkInvariants(cfg, w, cc, result.violations);
+    checkInvariants(cfg, w, *client, result.violations);
 
     OutcomeMix &mix = result.mix;
-    mix.clientSent = cc.sent;
-    mix.clientOk = cc.ok;
-    mix.clientError = cc.error;
-    mix.clientShed = cc.shed;
-    mix.clientTimedOut = cc.timedOut;
-    mix.clientLate = cc.late;
-    mix.cancelsSent = cc.cancels;
+    mix.clientSent = client->sent();
+    mix.clientOk = client->completedOk();
+    mix.clientError = client->completedError();
+    mix.clientShed = client->completedShed();
+    mix.clientTimedOut = client->timedOut();
+    mix.clientLate = client->lateResponses();
+    mix.cancelsSent = client->cancelsSent();
     for (const auto &svc : w.dep.services()) {
         const app::ServiceStats &s = svc->stats();
         mix.rpcOk += s.rpcOk;

@@ -664,8 +664,7 @@ runClosure(const std::string &json, const ClosureOptions &opts)
     workload::LoadSpec load = res.clone.load;
     load.qps = opts.qps;
     load.connections = opts.connections;
-    std::unique_ptr<workload::LoadGen> gen;
-    std::unique_ptr<workload::WorkloadEngine> engine;
+    std::unique_ptr<workload::Client> client;
     if (opts.sessionized) {
         // Synthesized mix -> endpoint classes; qps stays the offered
         // call rate, so divide by the mean calls per session.
@@ -690,14 +689,13 @@ runClosure(const std::string &json, const ClosureOptions &opts)
             ec.reqBytesMax = ep.reqBytesMax;
             ws.classes.push_back(std::move(ec));
         }
-        engine = std::make_unique<workload::WorkloadEngine>(
+        client = std::make_unique<workload::WorkloadEngine>(
             dep, *root, ws, opts.seed ^ 0x10adc10eull);
-        engine->start();
     } else {
-        gen = std::make_unique<workload::LoadGen>(
+        client = std::make_unique<workload::LoadGen>(
             dep, *root, load, opts.seed ^ 0x10adc10eull);
-        gen->start();
     }
+    client->start();
     dep.runFor(opts.warmup);
     const stats::LatencyHistogram baseline = root->stats().latency;
     dep.runFor(opts.measure);
@@ -705,10 +703,7 @@ runClosure(const std::string &json, const ClosureOptions &opts)
         root->stats().latency.since(baseline);
     res.windowP50Ns = window.percentile(0.50);
     res.windowP99Ns = window.percentile(0.99);
-    if (engine)
-        engine->stop();
-    else
-        gen->stop();
+    client->stop();
     // Drain in-flight request trees so the re-exported traces hold
     // few half-recorded call paths (which would skew edge rates).
     dep.runFor(sim::milliseconds(50));

@@ -10,7 +10,9 @@ namespace ditto::workload {
 WorkloadEngine::WorkloadEngine(app::Deployment &dep,
                                app::ServiceInstance &target,
                                WorkloadSpec spec, std::uint64_t seed)
-    : dep_(dep), target_(target), spec_(std::move(spec)), rng_(seed),
+    : Client(dep, target, spec.connections, 0xe6e00000, spec.timeout,
+             spec.propagateDeadline, spec.cancelOnTimeout),
+      spec_(std::move(spec)), rng_(seed),
       arrivals_(spec_.arrivals, rng_.split())
 {
     if (spec_.classes.empty())
@@ -31,22 +33,7 @@ WorkloadEngine::WorkloadEngine(app::Deployment &dep,
         1.0, static_cast<double>(spec_.session.meanThink));
     thinkMu_ = std::log(meanNs) -
         spec_.session.thinkSigma * spec_.session.thinkSigma / 2.0;
-
-    conns_.resize(std::max(1u, spec_.connections));
-    std::uint64_t sockId = 0xe6e00000;
-    for (std::size_t i = 0; i < conns_.size(); ++i) {
-        conns_[i].client = std::make_unique<os::Socket>(sockId++);
-        conns_[i].client->machine = nullptr; // external client
-        conns_[i].server = target_.openConnection();
-        os::Network::connect(*conns_[i].client, *conns_[i].server);
-        const std::size_t idx = i;
-        conns_[i].client->onDeliver = [this, idx](const os::Message &m) {
-            onResponse(idx, m);
-        };
-    }
 }
-
-WorkloadEngine::~WorkloadEngine() = default;
 
 void
 WorkloadEngine::start()
@@ -83,10 +70,7 @@ WorkloadEngine::stop()
 void
 WorkloadEngine::beginMeasure()
 {
-    latency_.reset();
-    measureStart_ = dep_.events().now();
-    measuredCompleted_ = 0;
-    measuredOk_ = 0;
+    Client::beginMeasure();
     for (ClassState &cs : classes_) {
         cs.mSent = 0;
         cs.mSettled = 0;
@@ -103,32 +87,6 @@ WorkloadEngine::setSessionsPerSec(double rate)
     // The arrival loop re-reads the spec at every draw, and draws are
     // bounded by the shape's refresh horizon, so the new rate takes
     // effect at the next checkpoint without rescheduling here.
-}
-
-std::uint64_t
-WorkloadEngine::inFlight() const
-{
-    std::uint64_t n = 0;
-    for (const Conn &c : conns_)
-        n += c.pending.size();
-    return n;
-}
-
-double
-WorkloadEngine::achievedQps() const
-{
-    const double secs =
-        sim::toSeconds(dep_.events().now() - measureStart_);
-    return secs > 0
-        ? static_cast<double>(measuredCompleted_) / secs : 0.0;
-}
-
-double
-WorkloadEngine::goodput() const
-{
-    const double secs =
-        sim::toSeconds(dep_.events().now() - measureStart_);
-    return secs > 0 ? static_cast<double>(measuredOk_) / secs : 0.0;
 }
 
 std::uint64_t
@@ -219,7 +177,7 @@ WorkloadEngine::startSession()
 {
     const std::uint64_t id = nextSession_++;
     Session s;
-    s.conn = static_cast<std::size_t>(id % conns_.size());
+    s.conn = static_cast<std::size_t>(id % connectionCount());
     s.callsLeft = static_cast<unsigned>(rng_.uniformInt(
         static_cast<std::int64_t>(spec_.session.minCalls),
         static_cast<std::int64_t>(std::max(spec_.session.minCalls,
@@ -297,52 +255,36 @@ WorkloadEngine::sendAttempt(std::uint64_t sessionId,
     if (s == nullptr)
         return;
     const EndpointClass &ec = spec_.classes[cls];
-    const std::size_t connIdx = s->conn;
-    Conn &conn = conns_[connIdx];
-
     os::Message req;
-    req.kind = os::MsgKind::Request;
     req.bytes = bytes;
     req.endpoint = ec.endpoint;
     req.tag = nextTag_++;
     req.traceId = s->traceId != 0 ? s->traceId : nextTrace_++;
     if (s->rootSpan != 0)
         req.parentSpan = s->rootSpan;
-    req.sendTime = dep_.events().now();
-    if (spec_.propagateDeadline && spec_.timeout > 0)
-        req.deadline = req.sendTime + spec_.timeout;
     req.priority = ec.priority;
-
-    Pending p;
-    p.session = sessionId;
-    p.cls = cls;
-    p.sendTime = req.sendTime;
-    p.attempt = attempt;
-    p.bytes = bytes;
-    const std::uint64_t tag = req.tag;
-    if (spec_.timeout > 0) {
-        p.timer = dep_.events().scheduleAfter(
-            spec_.timeout,
-            [this, connIdx, tag] { onTimeout(connIdx, tag); });
-    }
-    conn.pending.emplace(tag, p);
-    ++sent_;
     ClassState &cs = classes_[cls];
     ++cs.sent;
-    if (req.sendTime >= measureStart_)
+    if (dep_.events().now() >= measureStart_)
         ++cs.mSent;
-    dep_.network().send(*conn.client, std::move(req));
+
+    Call call;
+    call.session = sessionId;
+    call.cls = cls;
+    call.attempt = attempt;
+    call.bytes = bytes;
+    send(s->conn, std::move(req), call);
 }
 
 bool
-WorkloadEngine::maybeRetry(const Pending &p, bool fromShed)
+WorkloadEngine::maybeRetry(const Call &c, bool fromShed)
 {
     if (spec_.retry.maxAttempts <= 1 ||
-        p.attempt >= spec_.retry.maxAttempts)
+        c.attempt >= spec_.retry.maxAttempts)
         return false;
     if (fromShed && !spec_.retry.retryOnShed)
         return false;
-    if (!running_ || sessions_.find(p.session) == nullptr)
+    if (!running_ || sessions_.find(c.session) == nullptr)
         return false;
     // The budget token is withdrawn only once every cheaper gate has
     // passed, so a disabled-retry config never touches the bucket.
@@ -353,8 +295,8 @@ WorkloadEngine::maybeRetry(const Pending &p, bool fromShed)
     ++retriesSent_;
     dep_.events().scheduleAfter(
         std::max<sim::Time>(1, spec_.retry.backoff),
-        [this, sessionId = p.session, cls = p.cls, bytes = p.bytes,
-         attempt = p.attempt + 1] {
+        [this, sessionId = c.session, cls = c.cls, bytes = c.bytes,
+         attempt = c.attempt + 1] {
             if (sessions_.find(sessionId) == nullptr)
                 return;
             if (!running_) {
@@ -370,19 +312,19 @@ WorkloadEngine::maybeRetry(const Pending &p, bool fromShed)
 }
 
 void
-WorkloadEngine::settleCall(const Pending &p, bool ok,
-                           sim::Time latencyNs, bool wasTimeout)
+WorkloadEngine::settled(std::size_t, const Call &call, Settle how,
+                        sim::Time latency)
 {
-    ClassState &cs = classes_[p.cls];
-    const EndpointClass &ec = spec_.classes[p.cls];
+    ClassState &cs = classes_[call.cls];
+    const EndpointClass &ec = spec_.classes[call.cls];
+    const bool timedOut = how == Settle::TimedOut;
     ++cs.settled;
-    const bool good =
-        ok && !wasTimeout && latencyNs <= ec.slo.deadline;
+    const bool good = how == Settle::Ok && latency <= ec.slo.deadline;
     if (good)
         ++cs.okInDeadline;
     else
         ++cs.violations;
-    if (p.sendTime >= measureStart_) {
+    if (call.sendTime >= measureStart_) {
         ++cs.mSettled;
         if (good)
             ++cs.mOkInDeadline;
@@ -390,75 +332,13 @@ WorkloadEngine::settleCall(const Pending &p, bool ok,
             ++cs.mViolations;
         // Timeouts carry no response latency; they show up in the
         // violation rate instead of skewing the percentile.
-        if (!wasTimeout)
-            cs.latency.record(latencyNs);
+        if (!timedOut)
+            cs.latency.record(latency);
     }
-}
-
-void
-WorkloadEngine::onResponse(std::size_t connIdx,
-                           const os::Message &resp)
-{
-    Conn &conn = conns_[connIdx];
-    Pending *found = conn.pending.find(resp.tag);
-    if (found == nullptr) {
-        ++lateResponses_; // reply to a call that already timed out
-        return;
-    }
-    const Pending p = *found;
-    if (p.timer != 0)
-        dep_.events().cancel(p.timer);
-    conn.pending.erase(resp.tag);
-    ++completed_;
-    ++measuredCompleted_;
-    bool ok = false;
-    switch (resp.status) {
-      case os::MsgStatus::Ok:
-        ++completedOk_;
-        ++measuredOk_;
-        ok = true;
-        break;
-      case os::MsgStatus::Error:
-        ++completedError_;
-        break;
-      case os::MsgStatus::Shed:
-        ++completedShed_;
-        break;
-    }
-    const sim::Time now = dep_.events().now();
-    const sim::Time lat =
-        now > resp.sendTime ? now - resp.sendTime : 0;
-    latency_.record(lat);
-    settleCall(p, ok, lat, /*wasTimeout=*/false);
-    if (resp.status == os::MsgStatus::Shed && maybeRetry(p, true))
+    if ((how == Settle::Shed || timedOut) &&
+        maybeRetry(call, how == Settle::Shed))
         return; // the retry attempt carries the session forward
-    continueSession(p.session);
-}
-
-void
-WorkloadEngine::onTimeout(std::size_t connIdx, std::uint64_t tag)
-{
-    Conn &conn = conns_[connIdx];
-    Pending *found = conn.pending.find(tag);
-    if (found == nullptr)
-        return;
-    const Pending p = *found;
-    conn.pending.erase(tag);
-    ++timedOut_;
-    settleCall(p, /*ok=*/false, spec_.timeout, /*wasTimeout=*/true);
-    if (spec_.cancelOnTimeout) {
-        os::Message cancel;
-        cancel.kind = os::MsgKind::Cancel;
-        cancel.bytes = os::kCancelMsgBytes;
-        cancel.tag = tag;
-        cancel.traceId = tag;
-        cancel.sendTime = dep_.events().now();
-        ++cancelsSent_;
-        dep_.network().send(*conn.client, std::move(cancel));
-    }
-    if (maybeRetry(p, false))
-        return; // the retry attempt carries the session forward
-    continueSession(p.session);
+    continueSession(call.session);
 }
 
 void

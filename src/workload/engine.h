@@ -15,27 +15,27 @@
  *
  * Determinism: one seeded Rng stream drives arrivals, session
  * shaping, and per-call choices in event order, so a run is
- * bit-identical at any RunExecutor --jobs (DESIGN.md §8). The engine,
- * like LoadGen, is an external client: its CPU is not modeled and its
- * requests enter through the target's NIC and kernel.
+ * bit-identical at any RunExecutor --jobs (DESIGN.md §8). The engine
+ * keeps only what is session-shaped -- arrivals, sessions, classes,
+ * client retries and SLO tallies. The sockets, deadlines, Cancel
+ * chase and outcome books come from workload::Client, which it
+ * shares with LoadGen; each settled call reaches it through the
+ * settled() hook.
  */
 
 #ifndef DITTO_WORKLOAD_ENGINE_H_
 #define DITTO_WORKLOAD_ENGINE_H_
 
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <vector>
 
-#include "app/deployment.h"
 #include "app/overload.h"
-#include "app/service.h"
-#include "os/socket.h"
 #include "sim/distributions.h"
 #include "sim/rng.h"
 #include "stats/histogram.h"
 #include "workload/arrivals.h"
+#include "workload/client.h"
 #include "workload/pending_map.h"
 #include "workload/slo.h"
 
@@ -127,58 +127,37 @@ struct WorkloadSpec
     bool traceSessions = true;
 };
 
-class WorkloadEngine
+class WorkloadEngine : public Client
 {
   public:
     WorkloadEngine(app::Deployment &dep, app::ServiceInstance &target,
                    WorkloadSpec spec, std::uint64_t seed = 99);
-    ~WorkloadEngine();
-
-    WorkloadEngine(const WorkloadEngine &) = delete;
-    WorkloadEngine &operator=(const WorkloadEngine &) = delete;
 
     /** Begin admitting sessions. */
-    void start();
+    void start() override;
 
     /**
      * Stop admitting sessions. Active sessions end at their next
      * think event; in-flight calls settle normally, so a short drain
      * brings inFlight() to zero.
      */
-    void stop();
+    void stop() override;
 
     /** Reset the measured window (latency + per-class SLO tallies). */
-    void beginMeasure();
+    void beginMeasure() override;
 
     /** Change the base session arrival rate immediately. */
     void setSessionsPerSec(double rate);
 
-    // ---- per-call outcome accounting --------------------------------
-    // sent() == completedOk() + completedError() + completedShed() +
-    // timedOut() + inFlight() at any instant: the same conservation
-    // contract as LoadGen, checked by the chaos harness.
-
-    std::uint64_t sent() const { return sent_; }
-    std::uint64_t completed() const { return completed_; }
-    std::uint64_t completedOk() const { return completedOk_; }
-    std::uint64_t completedError() const { return completedError_; }
-    std::uint64_t completedShed() const { return completedShed_; }
-    std::uint64_t timedOut() const { return timedOut_; }
-    std::uint64_t lateResponses() const { return lateResponses_; }
-    std::uint64_t cancelsSent() const { return cancelsSent_; }
-
     // ---- client retry accounting ------------------------------------
-    // Every retry is a fresh sent() call, so the conservation
-    // contract above is untouched by retries.
+    // Every retry is a fresh sent() call, so the Client conservation
+    // contract is untouched by retries.
     std::uint64_t retriesSent() const { return retriesSent_; }
     std::uint64_t retriesSuppressed() const
     {
         return retriesSuppressed_;
     }
     double retryTokens() const { return retryBudget_.tokens(); }
-
-    /** Calls currently awaiting a response or timeout. */
-    std::uint64_t inFlight() const;
 
     // ---- session accounting -----------------------------------------
     std::uint64_t sessionsStarted() const { return sessionsStarted_; }
@@ -190,14 +169,6 @@ class WorkloadEngine
     {
         return sessionsStarted_ - sessionsFinished_;
     }
-
-    const stats::LatencyHistogram &latency() const { return latency_; }
-
-    /** Completed calls per second over the measured window. */
-    double achievedQps() const;
-
-    /** Ok-status calls per second over the measured window. */
-    double goodput() const;
 
     /** Per-class SLO outcome over the measured window. */
     SloReport sloReport() const;
@@ -215,28 +186,6 @@ class WorkloadEngine
     const WorkloadSpec &spec() const { return spec_; }
 
   private:
-    /** One in-flight call, keyed by tag in its connection's map. */
-    struct Pending
-    {
-        sim::EventId timer = 0; //!< client deadline event (0 = none)
-        std::uint64_t session = 0;
-        std::uint32_t cls = 0;
-        /** Send instant; settles count toward the measured window
-         *  only when they were also sent inside it. */
-        sim::Time sendTime = 0;
-        /** Attempt number of this send (1 = first). */
-        unsigned attempt = 1;
-        /** Request bytes, reused verbatim by a retry (no redraw). */
-        std::uint32_t bytes = 64;
-    };
-
-    struct Conn
-    {
-        std::unique_ptr<os::Socket> client;
-        os::Socket *server = nullptr;
-        TagMap<Pending> pending;
-    };
-
     /** One live user session. */
     struct Session
     {
@@ -264,25 +213,13 @@ class WorkloadEngine
         stats::LatencyHistogram latency; //!< measured window only
     };
 
-    app::Deployment &dep_;
-    app::ServiceInstance &target_;
     WorkloadSpec spec_;
     sim::Rng rng_;
     ArrivalProcess arrivals_;
     sim::EmpiricalDist classPick_;
     double thinkMu_ = 0; //!< log-space mean for the think log-normal
-    std::vector<Conn> conns_;
     TagMap<Session> sessions_; //!< keyed by monotone session id
     std::vector<ClassState> classes_;
-    stats::LatencyHistogram latency_;
-    std::uint64_t sent_ = 0;
-    std::uint64_t completed_ = 0;
-    std::uint64_t completedOk_ = 0;
-    std::uint64_t completedError_ = 0;
-    std::uint64_t completedShed_ = 0;
-    std::uint64_t timedOut_ = 0;
-    std::uint64_t lateResponses_ = 0;
-    std::uint64_t cancelsSent_ = 0;
     std::uint64_t retriesSent_ = 0;
     std::uint64_t retriesSuppressed_ = 0;
     app::RetryBudget retryBudget_;
@@ -291,10 +228,6 @@ class WorkloadEngine
     std::uint64_t nextSession_ = 1;
     std::uint64_t nextTrace_ = 1;
     std::uint64_t nextTag_ = 1;
-    bool running_ = false;
-    sim::Time measureStart_ = 0;
-    std::uint64_t measuredCompleted_ = 0;
-    std::uint64_t measuredOk_ = 0;
 
     void scheduleNextArrival();
     void startSession();
@@ -303,15 +236,14 @@ class WorkloadEngine
     void sendAttempt(std::uint64_t sessionId, std::uint32_t cls,
                      std::uint32_t bytes, unsigned attempt);
     /**
-     * Schedule a retry of the failed attempt `p` when the retry spec,
+     * Schedule a retry of the failed attempt `c` when the retry spec,
      * attempt count, and budget all allow it. @retval false the call
      * is final -- the caller must continueSession.
      */
-    bool maybeRetry(const Pending &p, bool fromShed);
-    void onResponse(std::size_t connIdx, const os::Message &resp);
-    void onTimeout(std::size_t connIdx, std::uint64_t tag);
-    void settleCall(const Pending &p, bool ok, sim::Time latencyNs,
-                    bool timedOut);
+    bool maybeRetry(const Call &c, bool fromShed);
+    /** SLO tallies, then a retry or the session's next step. */
+    void settled(std::size_t conn, const Call &call, Settle how,
+                 sim::Time latency) override;
     void continueSession(std::uint64_t sessionId);
     void endSession(std::uint64_t sessionId);
     std::uint32_t pickClass(Session &s);

@@ -4,27 +4,14 @@ namespace ditto::workload {
 
 LoadGen::LoadGen(app::Deployment &dep, app::ServiceInstance &target,
                  LoadSpec spec, std::uint64_t seed)
-    : dep_(dep), target_(target), spec_(std::move(spec)), rng_(seed)
+    : Client(dep, target, spec.connections, 0xc11e0000, spec.timeout,
+             spec.propagateDeadline, spec.cancelOnTimeout),
+      spec_(std::move(spec)), rng_(seed)
 {
     for (std::size_t i = 0; i < spec_.endpoints.size(); ++i)
         endpointPick_.add(static_cast<std::int64_t>(i),
                           spec_.endpoints[i].weight);
-
-    conns_.resize(std::max(1u, spec_.connections));
-    std::uint64_t sockId = 0xc11e0000;
-    for (std::size_t i = 0; i < conns_.size(); ++i) {
-        conns_[i].client = std::make_unique<os::Socket>(sockId++);
-        conns_[i].client->machine = nullptr;  // external client
-        conns_[i].server = target_.openConnection();
-        os::Network::connect(*conns_[i].client, *conns_[i].server);
-        const std::size_t idx = i;
-        conns_[i].client->onDeliver = [this, idx](const os::Message &m) {
-            onResponse(idx, m);
-        };
-    }
 }
-
-LoadGen::~LoadGen() = default;
 
 void
 LoadGen::start()
@@ -36,7 +23,7 @@ LoadGen::start()
     if (spec_.openLoop) {
         scheduleNextOpen();
     } else {
-        for (std::size_t i = 0; i < conns_.size(); ++i)
+        for (std::size_t i = 0; i < connectionCount(); ++i)
             scheduleNextClosed(i);
     }
 }
@@ -45,32 +32,6 @@ void
 LoadGen::stop()
 {
     running_ = false;
-}
-
-void
-LoadGen::beginMeasure()
-{
-    latency_.reset();
-    measureStart_ = dep_.events().now();
-    measuredCompleted_ = 0;
-    measuredOk_ = 0;
-}
-
-double
-LoadGen::achievedQps() const
-{
-    const double secs =
-        sim::toSeconds(dep_.events().now() - measureStart_);
-    return secs > 0 ?
-        static_cast<double>(measuredCompleted_) / secs : 0.0;
-}
-
-double
-LoadGen::goodput() const
-{
-    const double secs =
-        sim::toSeconds(dep_.events().now() - measureStart_);
-    return secs > 0 ? static_cast<double>(measuredOk_) / secs : 0.0;
 }
 
 void
@@ -99,7 +60,7 @@ LoadGen::scheduleNextOpen()
             openArrival_ = 0;
             if (!running_)
                 return;
-            sendOn(rrConn_++ % conns_.size());
+            sendOn(rrConn_++ % connectionCount());
             scheduleNextOpen();
         });
 }
@@ -111,13 +72,13 @@ LoadGen::scheduleNextClosed(std::size_t connIdx)
         return;
     // Per-connection rate-limited arrivals (YCSB target throughput).
     const double perConnRate =
-        spec_.qps / static_cast<double>(conns_.size());
+        spec_.qps / static_cast<double>(connectionCount());
     const double gapNs = rng_.exponential(1e9 / perConnRate);
     dep_.events().scheduleAfter(
         static_cast<sim::Time>(gapNs), [this, connIdx] {
             if (!running_)
                 return;
-            if (conns_[connIdx].outstanding()) {
+            if (busy(connIdx)) {
                 // Still waiting (saturated): send immediately after
                 // the response arrives instead (closed loop).
                 return;
@@ -129,89 +90,28 @@ LoadGen::scheduleNextClosed(std::size_t connIdx)
 void
 LoadGen::sendOn(std::size_t connIdx)
 {
-    Conn &conn = conns_[connIdx];
     const auto pick = static_cast<std::size_t>(
         endpointPick_.sample(rng_));
     const EndpointLoad &ep = spec_.endpoints[pick];
-    const std::uint32_t bytes = ep.reqBytesMin >= ep.reqBytesMax
+    os::Message req;
+    req.bytes = ep.reqBytesMin >= ep.reqBytesMax
         ? ep.reqBytesMin
         : static_cast<std::uint32_t>(rng_.uniformInt(
               static_cast<std::int64_t>(ep.reqBytesMin),
               static_cast<std::int64_t>(ep.reqBytesMax)));
-
-    os::Message req;
-    req.kind = os::MsgKind::Request;
-    req.bytes = bytes;
     req.endpoint = ep.endpoint;
     req.tag = nextTrace_;
     req.traceId = nextTrace_++;
-    req.sendTime = dep_.events().now();
-    if (spec_.propagateDeadline && spec_.timeout > 0)
-        req.deadline = req.sendTime + spec_.timeout;
-    const std::uint64_t tag = req.tag;
-    sim::EventId timer = 0;
-    if (spec_.timeout > 0) {
-        timer = dep_.events().scheduleAfter(
-            spec_.timeout,
-            [this, connIdx, tag] { onTimeout(connIdx, tag); });
-    }
-    conn.pending.emplace(tag, timer);
-    ++sent_;
-    dep_.network().send(*conn.client, std::move(req));
+    send(connIdx, std::move(req), Call{});
 }
 
 void
-LoadGen::onResponse(std::size_t connIdx, const os::Message &resp)
+LoadGen::settled(std::size_t conn, const Call &, Settle, sim::Time)
 {
-    Conn &conn = conns_[connIdx];
-    const sim::EventId *timer = conn.pending.find(resp.tag);
-    if (timer == nullptr) {
-        ++lateResponses_;  // reply to a request that already timed out
-        return;
-    }
-    if (*timer != 0)
-        dep_.events().cancel(*timer);
-    conn.pending.erase(resp.tag);
-    ++completed_;
-    ++measuredCompleted_;
-    switch (resp.status) {
-      case os::MsgStatus::Ok:
-        ++completedOk_;
-        ++measuredOk_;
-        break;
-      case os::MsgStatus::Error:
-        ++completedError_;
-        break;
-      case os::MsgStatus::Shed:
-        ++completedShed_;
-        break;
-    }
-    const sim::Time now = dep_.events().now();
-    latency_.record(now > resp.sendTime ? now - resp.sendTime : 0);
+    // Closed loop: the settled call frees its connection, so load
+    // keeps flowing.
     if (!spec_.openLoop)
-        scheduleNextClosed(connIdx);
-}
-
-void
-LoadGen::onTimeout(std::size_t connIdx, std::uint64_t tag)
-{
-    Conn &conn = conns_[connIdx];
-    if (!conn.pending.erase(tag))
-        return;
-    ++timedOut_;
-    if (spec_.cancelOnTimeout) {
-        os::Message cancel;
-        cancel.kind = os::MsgKind::Cancel;
-        cancel.bytes = os::kCancelMsgBytes;
-        cancel.tag = tag;
-        cancel.traceId = tag;
-        cancel.sendTime = dep_.events().now();
-        ++cancelsSent_;
-        dep_.network().send(*conn.client, std::move(cancel));
-    }
-    // Closed loop: free the connection so load keeps flowing.
-    if (!spec_.openLoop)
-        scheduleNextClosed(connIdx);
+        scheduleNextClosed(conn);
 }
 
 } // namespace ditto::workload

@@ -9,24 +9,22 @@
  * request per connection and rate-limit arrivals, so latency stays
  * bounded at high load -- exactly the Fig. 5 latency shapes.
  *
- * The client itself is external to the simulated machines (its CPU is
- * not modeled); requests enter through the server's NIC and kernel.
+ * LoadGen keeps only its arrivals: one seeded Rng stream draws the
+ * gaps, endpoints and request sizes in event order, and setQps
+ * redraws a pending open-loop arrival at once. Sockets, deadlines,
+ * the Cancel chase and the outcome books come from workload::Client,
+ * which it shares with the sessionized WorkloadEngine.
  */
 
 #ifndef DITTO_WORKLOAD_LOADGEN_H_
 #define DITTO_WORKLOAD_LOADGEN_H_
 
 #include <cstdint>
-#include <memory>
 #include <vector>
 
-#include "app/deployment.h"
-#include "app/service.h"
-#include "os/socket.h"
 #include "sim/distributions.h"
 #include "sim/rng.h"
-#include "stats/histogram.h"
-#include "workload/pending_map.h"
+#include "workload/client.h"
 
 namespace ditto::workload {
 
@@ -66,57 +64,17 @@ struct LoadSpec
     bool cancelOnTimeout = false;
 };
 
-class LoadGen
+class LoadGen : public Client
 {
   public:
     LoadGen(app::Deployment &dep, app::ServiceInstance &target,
             LoadSpec spec, std::uint64_t seed = 99);
-    ~LoadGen();
-
-    LoadGen(const LoadGen &) = delete;
-    LoadGen &operator=(const LoadGen &) = delete;
 
     /** Begin generating load. */
-    void start();
+    void start() override;
 
     /** Stop issuing new requests (in-flight ones complete). */
-    void stop();
-
-    /** Reset measured latency/counters (start of measured window). */
-    void beginMeasure();
-
-    const stats::LatencyHistogram &latency() const { return latency_; }
-    std::uint64_t sent() const { return sent_; }
-    std::uint64_t completed() const { return completed_; }
-
-    // ---- per-request outcome accounting -----------------------------
-    // sent() == completedOk() + completedError() + completedShed() +
-    // timedOut() + in-flight, so loss anywhere in the stack is
-    // attributable. completed() counts every received response
-    // regardless of status.
-
-    /** Responses with Ok status (successful end-to-end requests). */
-    std::uint64_t completedOk() const { return completedOk_; }
-    /** Responses with Error status (degraded by a downstream fault). */
-    std::uint64_t completedError() const { return completedError_; }
-    /** Responses with Shed status (rejected by load shedding). */
-    std::uint64_t completedShed() const { return completedShed_; }
-    /** Requests that hit the client deadline with no response. */
-    std::uint64_t timedOut() const { return timedOut_; }
-    /** Replies that arrived after their request had timed out. */
-    std::uint64_t lateResponses() const { return lateResponses_; }
-    /** Cancellation chase messages sent after client timeouts. */
-    std::uint64_t cancelsSent() const { return cancelsSent_; }
-
-    /** Completed requests per second over the measured window. */
-    double achievedQps() const;
-
-    /**
-     * *Successful* (Ok-status, in-deadline) requests per second over
-     * the measured window -- the number that drops under faults even
-     * when achievedQps() holds up.
-     */
-    double goodput() const;
+    void stop() override;
 
     /**
      * Change the target rate on the fly. Open-loop clients reschedule
@@ -127,50 +85,19 @@ class LoadGen
     void setQps(double qps);
 
   private:
-    struct Conn
-    {
-        std::unique_ptr<os::Socket> client;
-        os::Socket *server = nullptr;
-        /**
-         * In-flight requests: tag -> pending deadline event (0 when
-         * no client timeout is configured). Open-loop connections can
-         * have several requests in flight at once. Tags are monotone,
-         * so the sorted small-vector map inserts at the back.
-         */
-        TagMap<sim::EventId> pending;
-
-        bool outstanding() const { return !pending.empty(); }
-    };
-
-    app::Deployment &dep_;
-    app::ServiceInstance &target_;
     LoadSpec spec_;
     sim::Rng rng_;
     sim::EmpiricalDist endpointPick_;
-    std::vector<Conn> conns_;
-    stats::LatencyHistogram latency_;
-    std::uint64_t sent_ = 0;
-    std::uint64_t completed_ = 0;
-    std::uint64_t completedOk_ = 0;
-    std::uint64_t completedError_ = 0;
-    std::uint64_t completedShed_ = 0;
-    std::uint64_t timedOut_ = 0;
-    std::uint64_t lateResponses_ = 0;
-    std::uint64_t cancelsSent_ = 0;
     std::uint64_t nextTrace_ = 1;
     unsigned rrConn_ = 0;
-    bool running_ = false;
     /** Pending open-loop arrival event (0 when none is scheduled). */
     sim::EventId openArrival_ = 0;
-    sim::Time measureStart_ = 0;
-    std::uint64_t measuredCompleted_ = 0;
-    std::uint64_t measuredOk_ = 0;
 
     void scheduleNextOpen();
     void scheduleNextClosed(std::size_t connIdx);
     void sendOn(std::size_t connIdx);
-    void onResponse(std::size_t connIdx, const os::Message &resp);
-    void onTimeout(std::size_t connIdx, std::uint64_t tag);
+    void settled(std::size_t conn, const Call &call, Settle how,
+                 sim::Time latency) override;
 };
 
 } // namespace ditto::workload

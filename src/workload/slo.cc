@@ -3,8 +3,8 @@
 #include <cinttypes>
 #include <cstdio>
 
+#include "workload/client.h"
 #include "workload/engine.h"
-#include "workload/loadgen.h"
 
 namespace ditto::workload {
 
@@ -52,13 +52,9 @@ kneePointRate(const std::vector<std::pair<double, double>> &sweep,
     return sawOffered ? kKneeNone : kKneeEmptySweep;
 }
 
-namespace {
-
-/** The counter series shared by LoadGen and WorkloadEngine. */
-template <typename Client>
 void
-registerClientCommon(obs::MetricsRegistry &registry,
-                     const Client &client, const std::string &label)
+registerClientMetrics(obs::MetricsRegistry &registry,
+                      const Client &client, const std::string &label)
 {
     const obs::MetricsRegistry::Labels labels = {{"client", label}};
     const struct
@@ -103,15 +99,12 @@ registerClientCommon(obs::MetricsRegistry &registry,
     registry.addHistogram("ditto_client_latency_ns", labels,
                           "Client-observed response latency",
                           &client.latency());
-}
-
-} // namespace
-
-void
-registerLoadGenMetrics(obs::MetricsRegistry &registry,
-                       const LoadGen &gen, const std::string &client)
-{
-    registerClientCommon(registry, gen, client);
+    registry.addGaugeFn("ditto_client_in_flight", labels,
+                        "Calls awaiting a response or timeout",
+                        [&client] {
+                            return static_cast<double>(
+                                client.inFlight());
+                        });
 }
 
 void
@@ -119,14 +112,8 @@ registerEngineMetrics(obs::MetricsRegistry &registry,
                       const WorkloadEngine &engine,
                       const std::string &client)
 {
-    registerClientCommon(registry, engine, client);
+    registerClientMetrics(registry, engine, client);
     const obs::MetricsRegistry::Labels labels = {{"client", client}};
-    registry.addGaugeFn("ditto_client_in_flight", labels,
-                        "Calls awaiting a response or timeout",
-                        [&engine] {
-                            return static_cast<double>(
-                                engine.inFlight());
-                        });
     registry.addCounterFn(
         "ditto_workload_sessions_started_total", labels,
         "User sessions admitted",

@@ -27,7 +27,7 @@
 
 namespace ditto::workload {
 
-class LoadGen;
+class Client;
 class WorkloadEngine;
 
 /** Service-level objective of one endpoint class. */
@@ -100,19 +100,20 @@ double kneePointRate(
     double tolerance = 0.1);
 
 /**
- * Register a LoadGen's client-side outcome counters and latency as
- * pull series (`ditto_client_*`, labelled {client=<client>}), so
+ * Register a client's outcome counters, in-flight gauge and latency
+ * as pull series (`ditto_client_*`, labelled {client=<label>}), so
  * client-side outcomes survive the Prometheus/JSON writers like
- * server-side ServiceStats already do. The generator must outlive
- * the registry's last snapshot.
+ * server-side ServiceStats already do. The client must outlive the
+ * registry's last snapshot.
  */
-void registerLoadGenMetrics(obs::MetricsRegistry &registry,
-                            const LoadGen &gen,
-                            const std::string &client);
+void registerClientMetrics(obs::MetricsRegistry &registry,
+                           const Client &client,
+                           const std::string &label);
 
 /**
- * Register a WorkloadEngine's client counters plus its per-class SLO
- * series (`ditto_slo_*`, labelled {client, class}).
+ * Register a WorkloadEngine's client series (registerClientMetrics)
+ * plus its session, retry and per-class SLO series (`ditto_slo_*`,
+ * labelled {client, class}).
  */
 void registerEngineMetrics(obs::MetricsRegistry &registry,
                            const WorkloadEngine &engine,

@@ -135,6 +135,25 @@ TEST(ChaosSmoke, OverloadOffKeepsPlanSequence)
 // Determinism
 // ---------------------------------------------------------------------------
 
+TEST(ChaosInvariants, UndrainedLoadGenRunKeepsClientsConserved)
+{
+    // With no drain, the LoadGen's calls are still in flight when the
+    // invariants run. Client conservation must count them (it once
+    // took LoadGen's in-flight term as zero); the leftover work is
+    // the orphan checks' to report, and they still do.
+    chaos::ChaosConfig cfg = smallConfig();
+    cfg.drain = 0;
+    const chaos::PlanRunResult r =
+        chaos::runPlan(cfg, fault::FaultPlan{});
+    ASSERT_GT(r.mix.clientSent, 0u);
+    bool orphan = false;
+    for (const std::string &v : r.violations) {
+        EXPECT_NE(v.rfind("client-conservation", 0), 0u) << v;
+        orphan = orphan || v.rfind("orphan-", 0) == 0;
+    }
+    EXPECT_TRUE(orphan);
+}
+
 TEST(ChaosDeterminism, RunPlanIsAPureFunction)
 {
     const chaos::ChaosConfig cfg = smallConfig();

@@ -1,8 +1,15 @@
 /**
  * @file
  * Tests for load generation and stressors: arrival processes, closed
- * vs open loop semantics, endpoint mixes, and interference knobs.
+ * vs open loop semantics, endpoint mixes, pinned LoadGen outcomes,
+ * outcome conservation of every client model, and interference knobs.
  */
+
+#include <cstdint>
+#include <functional>
+#include <memory>
+#include <ostream>
+#include <string>
 
 #include <gtest/gtest.h>
 
@@ -10,6 +17,8 @@
 #include "hw/block_builder.h"
 #include "hw/platform.h"
 #include "profile/perf_report.h"
+#include "workload/client.h"
+#include "workload/engine.h"
 #include "workload/loadgen.h"
 #include "workload/stressor.h"
 
@@ -18,11 +27,12 @@ namespace {
 using namespace ditto;
 
 app::ServiceSpec
-echoService(unsigned iters = 5)
+echoService(unsigned iters = 5, bool dropExpired = false)
 {
     app::ServiceSpec spec;
     spec.name = "echo";
     spec.threads.workers = 2;
+    spec.resilience.propagateDeadline = dropExpired;
     hw::BlockSpec bs;
     bs.label = "echo.h";
     bs.instCount = 64;
@@ -46,9 +56,9 @@ struct World
     os::Machine &machine;
     app::ServiceInstance &svc;
 
-    World()
+    explicit World(unsigned iters = 5, bool dropExpired = false)
         : machine(dep.addMachine("n", hw::platformA())),
-          svc(dep.deploy(echoService(), machine))
+          svc(dep.deploy(echoService(iters, dropExpired), machine))
     {
         dep.wireAll();
     }
@@ -172,6 +182,175 @@ TEST(LoadGen, RequestBytesWithinConfiguredRange)
     EXPECT_GE(perReq, 200.0);
     EXPECT_LE(perReq, 400.0);
 }
+
+/** A LoadGen's outcome books plus the world's executed events. */
+struct Outcomes
+{
+    std::uint64_t sent, completed, ok, error, shed, timedOut, late,
+        cancels, events;
+
+    bool operator==(const Outcomes &) const = default;
+};
+
+std::ostream &
+operator<<(std::ostream &os, const Outcomes &o)
+{
+    return os << "{" << o.sent << ", " << o.completed << ", " << o.ok
+              << ", " << o.error << ", " << o.shed << ", "
+              << o.timedOut << ", " << o.late << ", " << o.cancels
+              << ", " << o.events << "}";
+}
+
+Outcomes
+outcomesOf(World &w, const workload::LoadGen &gen)
+{
+    return {gen.sent(),          gen.completed(),
+            gen.completedOk(),   gen.completedError(),
+            gen.completedShed(), gen.timedOut(),
+            gen.lateResponses(), gen.cancelsSent(),
+            w.dep.events().executedCount()};
+}
+
+TEST(LoadGen, PinnedOutcomes)
+{
+    // Constants captured from the LoadGen that kept its own books
+    // (before the shared client base): refactors of the send,
+    // response, timeout and cancel paths must reproduce every
+    // count and every executed event.
+    {
+        // Open loop past the knee: some calls time out, their
+        // replies arrive late, and each timeout chases a Cancel. The
+        // service drops requests whose propagated deadline expired
+        // in its queue.
+        World w(10000, /*dropExpired=*/true);
+        workload::LoadSpec load;
+        load.qps = 16000;
+        load.connections = 4;
+        load.endpoints = {{0, 0.75, 64, 64}, {1, 0.25, 100, 300}};
+        load.timeout = sim::microseconds(500);
+        load.propagateDeadline = true;
+        load.cancelOnTimeout = true;
+        workload::LoadGen gen(w.dep, w.svc, load, 9);
+        gen.start();
+        w.dep.runFor(sim::milliseconds(40));
+        gen.stop();
+        w.dep.runFor(sim::milliseconds(5));
+        EXPECT_EQ(outcomesOf(w, gen),
+                  (Outcomes{603, 507, 507, 0, 0, 96, 81, 96, 2488}));
+    }
+    {
+        // Closed loop, saturated, with a client deadline: timeouts
+        // free the connection for the next call.
+        World w(10000);
+        workload::LoadSpec load;
+        load.qps = 50000;
+        load.connections = 3;
+        load.openLoop = false;
+        load.timeout = sim::microseconds(250);
+        workload::LoadGen gen(w.dep, w.svc, load, 9);
+        gen.start();
+        w.dep.runFor(sim::milliseconds(40));
+        EXPECT_EQ(outcomesOf(w, gen),
+                  (Outcomes{464, 423, 423, 0, 0, 38, 38, 0, 2136}));
+    }
+    {
+        // Open loop whose rate changes mid-run: the pending arrival
+        // is cancelled and redrawn at the new rate.
+        World w;
+        workload::LoadSpec load;
+        load.qps = 500;
+        load.connections = 4;
+        workload::LoadGen gen(w.dep, w.svc, load, 9);
+        gen.start();
+        w.dep.runFor(sim::milliseconds(15));
+        gen.setQps(8000);
+        w.dep.runFor(sim::milliseconds(20));
+        EXPECT_EQ(outcomesOf(w, gen),
+                  (Outcomes{145, 144, 144, 0, 0, 0, 0, 0, 724}));
+    }
+}
+
+// ---- one conservation contract for every client model ---------------
+
+struct ClientCase
+{
+    const char *name;
+    std::function<std::unique_ptr<workload::Client>(World &)> make;
+};
+
+void
+PrintTo(const ClientCase &c, std::ostream *os)
+{
+    *os << c.name;
+}
+
+/** A LoadGen past the knee, with a client deadline. */
+std::unique_ptr<workload::Client>
+overloadedLoadGen(World &w, bool openLoop)
+{
+    workload::LoadSpec load;
+    load.qps = openLoop ? 16000 : 50000;
+    load.connections = 6;
+    load.openLoop = openLoop;
+    load.timeout = sim::microseconds(250);
+    load.cancelOnTimeout = true;
+    return std::make_unique<workload::LoadGen>(w.dep, w.svc, load, 9);
+}
+
+const ClientCase kClientCases[] = {
+    {"LoadGenOpen",
+     [](World &w) { return overloadedLoadGen(w, true); }},
+    {"LoadGenClosed",
+     [](World &w) { return overloadedLoadGen(w, false); }},
+    {"EngineWithRetries",
+     [](World &w) -> std::unique_ptr<workload::Client> {
+         workload::WorkloadSpec ws;
+         ws.sessionsPerSec = 3000;
+         ws.connections = 6;
+         ws.session.meanThink = sim::microseconds(200);
+         ws.timeout = sim::microseconds(500);
+         ws.cancelOnTimeout = true;
+         ws.retry.maxAttempts = 2;
+         return std::make_unique<workload::WorkloadEngine>(
+             w.dep, w.svc, ws, 9);
+     }},
+};
+
+class ClientConservation : public ::testing::TestWithParam<ClientCase>
+{
+};
+
+std::uint64_t
+settledOrInFlight(const workload::Client &c)
+{
+    return c.completedOk() + c.completedError() + c.completedShed() +
+        c.timedOut() + c.inFlight();
+}
+
+TEST_P(ClientConservation, SentIsSettledOrInFlight)
+{
+    // Every client model keeps one book: each sent call is settled
+    // (by status or by its deadline) or still in flight, both while
+    // load runs and after a drain.
+    World w(10000);
+    const std::unique_ptr<workload::Client> owned = GetParam().make(w);
+    workload::Client &client = *owned;
+    client.start();
+    w.dep.runFor(sim::milliseconds(30));
+    ASSERT_GT(client.inFlight(), 0u);
+    EXPECT_GT(client.timedOut(), 0u);
+    EXPECT_EQ(client.sent(), settledOrInFlight(client));
+    client.stop();
+    w.dep.runFor(sim::milliseconds(20));
+    EXPECT_EQ(client.inFlight(), 0u);
+    EXPECT_EQ(client.sent(), settledOrInFlight(client));
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    ClientModels, ClientConservation, ::testing::ValuesIn(kClientCases),
+    [](const ::testing::TestParamInfo<ClientCase> &info) {
+        return std::string(info.param.name);
+    });
 
 TEST(Stressor, KindsHaveNames)
 {

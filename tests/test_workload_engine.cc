@@ -409,7 +409,7 @@ TEST(Metrics, LoadGenCountersExported)
     load.connections = 4;
     workload::LoadGen gen(w.dep, w.svc, load, 9);
     obs::MetricsRegistry reg;
-    workload::registerLoadGenMetrics(reg, gen, "lg0");
+    workload::registerClientMetrics(reg, gen, "lg0");
     gen.start();
     w.dep.runFor(sim::milliseconds(80));
     const obs::MetricsRegistry::Labels labels = {{"client", "lg0"}};
@@ -417,6 +417,9 @@ TEST(Metrics, LoadGenCountersExported)
               gen.sent());
     EXPECT_EQ(reg.readCounter("ditto_client_completed_total", labels),
               gen.completed());
+    // The in-flight gauge is shared with the engine now.
+    EXPECT_EQ(reg.readGauge("ditto_client_in_flight", labels),
+              static_cast<double>(gen.inFlight()));
 }
 
 // ---- determinism ----------------------------------------------------
