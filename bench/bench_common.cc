@@ -158,9 +158,9 @@ runSocialNetwork(const std::vector<app::ServiceSpec> &tiers,
 }
 
 core::CloneResult
-cloneSingleTier(const AppCase &app, bool fineTune, std::uint64_t seed,
-                sim::RunExecutor *executor)
+cloneSingleTier(const AppCase &app, sim::RunExecutor &executor)
 {
+    const std::uint64_t seed = 79;
     app::Deployment dep(seed);
     os::Machine &machine = dep.addMachine("node", hw::platformA());
     app::ServiceInstance &svc = dep.deploy(app.spec, machine);
@@ -170,8 +170,7 @@ cloneSingleTier(const AppCase &app, bool fineTune, std::uint64_t seed,
     gen.start();
 
     core::CloneOptions opts;
-    opts.fineTune = fineTune;
-    opts.executor = executor;
+    opts.executor = &executor;
     opts.profiling.warmup = sim::milliseconds(150);
     opts.profiling.window = sim::milliseconds(120);
     return core::cloneService(dep, svc, load, hw::platformA(), opts);

@@ -2,10 +2,10 @@
  * @file
  * Shared harness for the figure/table reproduction benchmarks.
  *
- * Every bench binary regenerates one table or figure of the paper:
- * it deploys originals, clones them with Ditto, re-deploys the
- * clones, measures both under identical load, and prints the same
- * rows/series the paper plots. Absolute numbers come from the machine
+ * A figure bench deploys originals, clones them with Ditto,
+ * re-deploys the clones, measures both under identical load, and
+ * prints the rows/series the paper plots (`bench_paper` does so for
+ * six figures from one clone set). Absolute numbers come from the machine
  * model, not the authors' Xeons; the *shape* (who wins, crossovers,
  * relative degradations) is the reproduction target (see
  * EXPERIMENTS.md).
@@ -125,13 +125,12 @@ SnRunResult runSocialNetwork(const std::vector<app::ServiceSpec> &tiers,
                              std::uint64_t seed = 78);
 
 /**
- * Profile + clone one single-tier app at its medium load. With an
- * executor, fine-tune candidates are evaluated concurrently (results
- * independent of the worker count).
+ * Profile + fine-tune-clone one single-tier app at its medium load on
+ * Platform A. Fine-tune candidates are evaluated concurrently on
+ * `executor` (results independent of the worker count).
  */
-core::CloneResult cloneSingleTier(const AppCase &app, bool fineTune,
-                                  std::uint64_t seed = 79,
-                                  sim::RunExecutor *executor = nullptr);
+core::CloneResult cloneSingleTier(const AppCase &app,
+                                  sim::RunExecutor &executor);
 
 /** Clone the whole Social Network (profiled at medium load). */
 core::TopologyCloneResult

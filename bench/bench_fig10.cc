@@ -16,7 +16,7 @@
 #include <memory>
 #include <optional>
 
-#include "bench/bench_common.h"
+#include "bench/paper.h"
 #include "workload/stressor.h"
 
 using namespace ditto;
@@ -71,17 +71,12 @@ runWithStress(const app::ServiceSpec &spec,
 
 } // namespace
 
-int
-main(int argc, char **argv)
+void
+bench::fig10(const PaperClones &clones, sim::RunExecutor &ex)
 {
-    BenchRuntime rt(argc, argv, "bench_fig10");
-    sim::RunExecutor &ex = rt.executor();
-    const AppCase nginx{"NGINX", apps::nginxSpec(), apps::nginxLoad()};
+    const auto &[nginx, clone] = clones.find("NGINX");
     const workload::LoadSpec load =
         nginx.load.at(nginx.load.mediumQps);
-
-    std::cout << "Cloning NGINX (profiled in isolation)...\n";
-    const core::CloneResult clone = cloneSingleTier(nginx, true, 79, &ex);
     const workload::LoadSpec cloneLoad = core::cloneLoadSpec(load);
 
     const StressCase cases[] = {
@@ -130,5 +125,4 @@ main(int argc, char **argv)
         table.addSeparator();
     }
     table.print(std::cout);
-    return 0;
 }

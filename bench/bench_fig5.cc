@@ -9,19 +9,17 @@
  * (the paper profiles only medium load); low/high-load behaviour is
  * the clone reacting, not re-profiling.
  *
- * Execution is phased for parallelism: every clone, then every
- * measured run, is an independent seeded simulation fanned out on
- * the RunExecutor (`--jobs N` / DITTO_JOBS); results are joined in
- * submission order, so the tables below are byte-identical at any
- * worker count. The three Social Network runs per load level are
- * computed once and reused for both reported tiers (identical by
- * determinism to running them per tier).
+ * Every measured run is an independent seeded simulation fanned out
+ * on the RunExecutor. The Social Network runs per load level are
+ * computed once and reused for both reported tiers, and the
+ * medium-load runs are handed on to Fig. 8 (identical by determinism
+ * to running them again).
  */
 
 #include <functional>
 #include <iostream>
 
-#include "bench/bench_common.h"
+#include "bench/paper.h"
 
 using namespace ditto;
 using namespace ditto::bench;
@@ -58,12 +56,11 @@ struct LoadLevel
 
 } // namespace
 
-int
-main(int argc, char **argv)
+MediumLoadRuns
+bench::fig5(const PaperClones &clones, sim::RunExecutor &ex)
 {
-    BenchRuntime rt(argc, argv, "bench_fig5");
-    sim::RunExecutor &ex = rt.executor();
     const hw::PlatformSpec platform = hw::platformA();
+    const core::TopologyCloneResult &snClone = clones.socialNetwork;
     ErrorAccumulator errors;
 
     stats::printBanner(
@@ -71,29 +68,9 @@ main(int argc, char **argv)
         "Fig. 5: original vs synthetic under varying load "
         "(Platform A; profiled at medium load only)");
 
-    // ---- phase 1: clone everything (independent seeded pipelines) ----
-    std::cout << "\nprofiling + cloning the four single-tier apps and "
-                 "the social network...\n";
-    const std::vector<AppCase> apps = singleTierApps();
-
-    auto snFuture =
-        ex.submit([&ex] { return cloneSocialNetwork(80, &ex); });
-    std::vector<std::function<core::CloneResult()>> cloneTasks;
-    for (const AppCase &app : apps) {
-        cloneTasks.push_back(
-            [&app, &ex] { return cloneSingleTier(app, true, 79, &ex); });
-    }
-    const std::vector<core::CloneResult> clones =
-        ex.runOrdered<core::CloneResult>(std::move(cloneTasks));
-    const core::TopologyCloneResult snClone =
-        ex.collect(std::move(snFuture));
-
-    // ---- phase 2: all measured runs -----------------------------------
     const LoadLevel loads[3] = {{"low", 0}, {"medium", 0}, {"high", 0}};
     std::vector<std::function<RunResult()>> runTasks;
-    for (std::size_t i = 0; i < apps.size(); ++i) {
-        const AppCase &app = apps[i];
-        const core::CloneResult &clone = clones[i];
+    for (const auto &[app, clone] : clones.apps) {
         const double qpsLevels[3] = {app.load.lowQps, app.load.mediumQps,
                                      app.load.highQps};
         for (double qps : qpsLevels) {
@@ -136,11 +113,8 @@ main(int argc, char **argv)
     const std::vector<SnRunResult> snRuns =
         ex.collect(std::move(snRunsFuture));
 
-    // ---- phase 3: tables, in the original order -----------------------
     std::size_t runIdx = 0;
-    for (std::size_t i = 0; i < apps.size(); ++i) {
-        const AppCase &app = apps[i];
-        const core::CloneResult &clone = clones[i];
+    for (const auto &[app, clone] : clones.apps) {
         std::cout << "\n-- " << app.name
                   << ": profiled + cloned at medium load\n";
         std::cout << "   fine tuning: " << clone.tuning.iterations
@@ -171,9 +145,7 @@ main(int argc, char **argv)
     std::cout << "\n-- Social Network: cloned " << snClone.specs.size()
               << " tiers; root " << snClone.rootClone << "\n";
 
-    for (const char *tier : {"sn.text", "sn.socialgraph"}) {
-        const std::string pretty = std::string(tier) == "sn.text"
-            ? "TextService" : "SocialGraphService";
+    for (const auto &[tier, pretty] : kSnTiers) {
         stats::TablePrinter table(
             {"load", "metric", "actual", "synthetic", "err"});
         stats::TablePrinter latTable(
@@ -198,11 +170,19 @@ main(int argc, char **argv)
                      cell(s.p99LatencyMs, 3)});
             errors.add(o, s);
         }
-        stats::printBanner(std::cout, pretty + " (Fig. 5 panel)");
+        stats::printBanner(std::cout, pretty + std::string(" (Fig. 5 panel)"));
         table.print(std::cout);
         latTable.print(std::cout);
     }
 
     errors.print(std::cout);
-    return 0;
+
+    // Each app's runs are (orig, synth) at low, medium, high, and so
+    // are snRuns: the medium pair is the second one.
+    MediumLoadRuns medium{{}, {}, snRuns[2], snRuns[3]};
+    for (std::size_t i = 0; i < clones.apps.size(); ++i) {
+        medium.orig.push_back(runs[6 * i + 2]);
+        medium.synth.push_back(runs[6 * i + 3]);
+    }
+    return medium;
 }

@@ -2,30 +2,21 @@
  * @file
  * Fig. 6: end-to-end Social Network latency (p50/p95/p99) vs QPS,
  * with every microservice replaced by its Ditto clone.
- *
- * All (QPS x {original, clone}) runs are independent seeded
- * simulations executed on the RunExecutor and joined in submission
- * order: the table is byte-identical at any `--jobs` value.
  */
 
 #include <functional>
 #include <iostream>
 
-#include "bench/bench_common.h"
+#include "bench/paper.h"
 
 using namespace ditto;
 using namespace ditto::bench;
 
-int
-main(int argc, char **argv)
+void
+bench::fig6(const PaperClones &clones, sim::RunExecutor &ex)
 {
-    BenchRuntime rt(argc, argv, "bench_fig6");
-    sim::RunExecutor &ex = rt.executor();
     const hw::PlatformSpec platform = hw::platformA();
-
-    std::cout << "Cloning the Social Network topology (profiled at "
-                 "medium load)...\n";
-    const core::TopologyCloneResult clone = cloneSocialNetwork(80, &ex);
+    const core::TopologyCloneResult &clone = clones.socialNetwork;
     std::cout << "Cloned " << clone.specs.size() << " tiers.\n";
 
     stats::printBanner(
@@ -75,5 +66,4 @@ main(int argc, char **argv)
                   << ", synth achieved " << synth.achievedQps << ")\n";
     }
     table.print(std::cout);
-    return 0;
 }

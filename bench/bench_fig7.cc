@@ -6,27 +6,24 @@
  * clone must react to the platform change (smaller L2, older core,
  * HDD vs SSD, 1Gbe vs 10Gbe) the same way the original does.
  *
- * Clones, then all (app x platform x variant) runs, fan out on the
- * RunExecutor; joined in submission order, so output is identical at
- * any `--jobs` value. The Social Network runs per platform are
- * computed once and reused for both reported tiers.
+ * The Social Network runs per platform are computed once and reused
+ * for both reported tiers.
  */
 
 #include <functional>
 #include <iostream>
 
-#include "bench/bench_common.h"
+#include "bench/paper.h"
 
 using namespace ditto;
 using namespace ditto::bench;
 
-int
-main(int argc, char **argv)
+void
+bench::fig7(const PaperClones &clones, sim::RunExecutor &ex)
 {
-    BenchRuntime rt(argc, argv, "bench_fig7");
-    sim::RunExecutor &ex = rt.executor();
     const hw::PlatformSpec platforms[] = {
         hw::platformA(), hw::platformB(), hw::platformC()};
+    const core::TopologyCloneResult &snClone = clones.socialNetwork;
     ErrorAccumulator errors;
 
     stats::printBanner(
@@ -34,27 +31,8 @@ main(int argc, char **argv)
         "Fig. 7: cross-platform validation (profiled on A only, "
         "medium load)");
 
-    // ---- phase 1: clone everything on Platform A ----------------------
-    std::cout << "\ncloning the four single-tier apps and the social "
-                 "network on A...\n";
-    const std::vector<AppCase> apps = singleTierApps();
-    auto snFuture =
-        ex.submit([&ex] { return cloneSocialNetwork(80, &ex); });
-    std::vector<std::function<core::CloneResult()>> cloneTasks;
-    for (const AppCase &app : apps) {
-        cloneTasks.push_back(
-            [&app, &ex] { return cloneSingleTier(app, true, 79, &ex); });
-    }
-    const std::vector<core::CloneResult> clones =
-        ex.runOrdered<core::CloneResult>(std::move(cloneTasks));
-    const core::TopologyCloneResult snClone =
-        ex.collect(std::move(snFuture));
-
-    // ---- phase 2: every measured run ----------------------------------
     std::vector<std::function<RunResult()>> runTasks;
-    for (std::size_t i = 0; i < apps.size(); ++i) {
-        const AppCase &app = apps[i];
-        const core::CloneResult &clone = clones[i];
+    for (const auto &[app, clone] : clones.apps) {
         for (const hw::PlatformSpec &platform : platforms) {
             runTasks.push_back([&app, &platform] {
                 return runSingleTier(app.spec,
@@ -95,10 +73,8 @@ main(int argc, char **argv)
     const std::vector<SnRunResult> snRuns =
         ex.collect(std::move(snRunsFuture));
 
-    // ---- phase 3: tables ----------------------------------------------
     std::size_t runIdx = 0;
-    for (std::size_t i = 0; i < apps.size(); ++i) {
-        const AppCase &app = apps[i];
+    for (const AppClone &entry : clones.apps) {
         stats::TablePrinter table(
             {"platform", "metric", "actual", "synthetic", "err"});
         stats::TablePrinter latTable(
@@ -118,14 +94,12 @@ main(int argc, char **argv)
                      cell(synth.report.p99LatencyMs, 3)});
             errors.add(orig.report, synth.report);
         }
-        stats::printBanner(std::cout, app.name + " (Fig. 7 panel)");
+        stats::printBanner(std::cout, entry.app.name + " (Fig. 7 panel)");
         table.print(std::cout);
         latTable.print(std::cout);
     }
 
-    for (const char *tier : {"sn.text", "sn.socialgraph"}) {
-        const std::string pretty = std::string(tier) == "sn.text"
-            ? "TextService" : "SocialGraphService";
+    for (const auto &[tier, pretty] : kSnTiers) {
         stats::TablePrinter table(
             {"platform", "metric", "actual", "synthetic", "err"});
         for (std::size_t p = 0; p < std::size(platforms); ++p) {
@@ -138,10 +112,9 @@ main(int argc, char **argv)
             table.addSeparator();
             errors.add(o, s);
         }
-        stats::printBanner(std::cout, pretty + " (Fig. 7 panel)");
+        stats::printBanner(std::cout, pretty + std::string(" (Fig. 7 panel)"));
         table.print(std::cout);
     }
 
     errors.print(std::cout);
-    return 0;
 }

@@ -4,14 +4,13 @@
  * speculation / backend), actual vs synthetic, for all six services
  * at medium load on Platform A.
  *
- * Clones and measured runs fan out on the RunExecutor and join in
- * submission order (byte-identical tables at any `--jobs` value).
+ * These are exactly Fig. 5's medium-load runs, so Fig. 8 runs no
+ * simulation of its own: it prints their breakdowns.
  */
 
-#include <functional>
 #include <iostream>
 
-#include "bench/bench_common.h"
+#include "bench/paper.h"
 
 using namespace ditto;
 using namespace ditto::bench;
@@ -31,83 +30,30 @@ addBreakdownRows(stats::TablePrinter &table, const std::string &name,
 
 } // namespace
 
-int
-main(int argc, char **argv)
+void
+bench::fig8(const PaperClones &clones, const MediumLoadRuns &runs)
 {
-    BenchRuntime rt(argc, argv, "bench_fig8");
-    sim::RunExecutor &ex = rt.executor();
-    const hw::PlatformSpec platform = hw::platformA();
-
     stats::printBanner(
         std::cout,
         "Fig. 8: top-down cycles breakdown, actual (A) vs "
         "synthetic (S), medium load");
 
-    std::cout << "cloning the four single-tier apps and the social "
-                 "network...\n";
-    const std::vector<AppCase> apps = singleTierApps();
-    auto snFuture =
-        ex.submit([&ex] { return cloneSocialNetwork(80, &ex); });
-    std::vector<std::function<core::CloneResult()>> cloneTasks;
-    for (const AppCase &app : apps) {
-        cloneTasks.push_back(
-            [&app, &ex] { return cloneSingleTier(app, true, 79, &ex); });
-    }
-    const std::vector<core::CloneResult> clones =
-        ex.runOrdered<core::CloneResult>(std::move(cloneTasks));
-    const core::TopologyCloneResult snClone =
-        ex.collect(std::move(snFuture));
-
-    const auto snLoad = apps::socialNetworkLoad();
-    std::vector<std::function<RunResult()>> runTasks;
-    for (std::size_t i = 0; i < apps.size(); ++i) {
-        const AppCase &app = apps[i];
-        const core::CloneResult &clone = clones[i];
-        runTasks.push_back([&app, &platform] {
-            return runSingleTier(app.spec,
-                                 app.load.at(app.load.mediumQps),
-                                 platform);
-        });
-        runTasks.push_back([&app, &clone, &platform] {
-            return runSingleTier(
-                clone.spec,
-                core::cloneLoadSpec(app.load.at(app.load.mediumQps)),
-                platform);
-        });
-    }
-
-    auto snOrigFuture = ex.submit([&snLoad, &platform] {
-        return runSocialNetwork(apps::socialNetworkSpecs(),
-                                apps::socialNetworkFrontend(),
-                                snLoad.at(snLoad.mediumQps), platform);
-    });
-    auto snSynthFuture = ex.submit([&snClone, &snLoad, &platform] {
-        return runSocialNetwork(snClone.specs, snClone.rootClone,
-                                socialCloneLoad(snLoad.mediumQps),
-                                platform);
-    });
-    const std::vector<RunResult> runs =
-        ex.runOrdered<RunResult>(std::move(runTasks));
-    const SnRunResult orig = ex.collect(std::move(snOrigFuture));
-    const SnRunResult synth = ex.collect(std::move(snSynthFuture));
-
     stats::TablePrinter table({"service", "", "CPI", "retiring",
                                "front-end", "bad spec", "back-end"});
-    for (std::size_t i = 0; i < apps.size(); ++i) {
-        addBreakdownRows(table, apps[i].name, runs[2 * i].report, "A");
-        addBreakdownRows(table, "", runs[2 * i + 1].report, "S");
+    for (std::size_t i = 0; i < clones.apps.size(); ++i) {
+        addBreakdownRows(table, clones.apps[i].app.name,
+                         runs.orig[i].report, "A");
+        addBreakdownRows(table, "", runs.synth[i].report, "S");
         table.addSeparator();
     }
-    for (const char *tier : {"sn.text", "sn.socialgraph"}) {
-        const std::string pretty = std::string(tier) == "sn.text"
-            ? "TextService" : "SocialGraphService";
-        addBreakdownRows(table, pretty, orig.tiers.at(tier), "A");
+    for (const auto &[tier, pretty] : kSnTiers) {
+        addBreakdownRows(table, pretty, runs.snOrig.tiers.at(tier), "A");
         addBreakdownRows(table, "",
-                         synth.tiers.at(std::string(tier) + "_clone"),
+                         runs.snSynth.tiers.at(std::string(tier) +
+                                               "_clone"),
                          "S");
         table.addSeparator();
     }
 
     table.print(std::cout);
-    return 0;
 }

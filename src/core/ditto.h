@@ -45,7 +45,9 @@ struct CloneOptions
     /**
      * Optional executor for concurrent fine-tune candidate
      * evaluation (see TuneOptions::executor). Results are identical
-     * at any worker count; only wall-clock time changes.
+     * at any worker count; only wall-clock time changes. Passing no
+     * executor selects the single-candidate tuning loop instead, so
+     * those results differ from any executor's.
      */
     sim::RunExecutor *executor = nullptr;
 };

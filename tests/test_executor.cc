@@ -18,6 +18,7 @@
 #include <vector>
 
 #include "bench/bench_common.h"
+#include "core/spec_io.h"
 #include "hw/block_builder.h"
 #include "obs/jaeger.h"
 #include "sim/run_executor.h"
@@ -104,6 +105,58 @@ TEST(RunExecutor, ParallelSweepBitIdenticalToSerial)
                                   parallel[i].clientLatency);
         EXPECT_EQ(serial[i].achievedQps, parallel[i].achievedQps);
     }
+}
+
+/**
+ * Clone `app` at its medium load with fine tuning on `ex`: short
+ * windows and at most three tuning iterations keep it to seconds.
+ */
+core::CloneResult
+tunedClone(const bench::AppCase &app, sim::RunExecutor &ex)
+{
+    app::Deployment dep(79);
+    os::Machine &machine = dep.addMachine("node", hw::platformA());
+    app::ServiceInstance &svc = dep.deploy(app.spec, machine);
+    dep.wireAll();
+    const workload::LoadSpec load = app.load.at(app.load.mediumQps);
+    workload::LoadGen gen(dep, svc, load, 79 ^ 0x10ad);
+    gen.start();
+
+    core::CloneOptions opts;
+    opts.executor = &ex;
+    opts.maxTuneIterations = 3;
+    opts.tuneWarmup = sim::milliseconds(40);
+    opts.tuneWindow = sim::milliseconds(60);
+    opts.profiling.warmup = sim::milliseconds(60);
+    opts.profiling.window = sim::milliseconds(60);
+    return core::cloneService(dep, svc, load, hw::platformA(), opts);
+}
+
+TEST(RunExecutor, TunedCloneIndependentOfJobsAndHistory)
+{
+    // One shared executor builds every figure's clone concurrently
+    // (bench_paper), so a tuned clone may depend only on its inputs:
+    // not on the worker count, nor on what ran on the executor
+    // before. (A null executor is not compared: it selects the
+    // one-candidate tuning loop, which differs by design.)
+    const bench::AppCase redis{"Redis", apps::redisSpec(),
+                               apps::redisLoad()};
+    const bench::AppCase mongodb{"MongoDB", apps::mongodbSpec(),
+                                 apps::mongodbLoad()};
+
+    sim::RunExecutor serial(1);
+    const core::CloneResult alone = tunedClone(redis, serial);
+
+    sim::RunExecutor pool(3);
+    const core::CloneResult unrelated = tunedClone(mongodb, pool);
+    EXPECT_GT(unrelated.tuning.iterations, 0u);
+    const core::CloneResult shared = tunedClone(redis, pool);
+
+    EXPECT_GT(alone.tuning.iterations, 1u);
+    EXPECT_EQ(core::specToString(alone.spec),
+              core::specToString(shared.spec));
+    EXPECT_EQ(alone.tuning.iterations, shared.tuning.iterations);
+    EXPECT_EQ(alone.tuning.finalIpcError, shared.tuning.finalIpcError);
 }
 
 // ---------------------------------------------------------------------------

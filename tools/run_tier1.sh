@@ -21,7 +21,8 @@
 #   overload  adaptive overload control: AIMD limiter, retry budgets,
 #             priority shedding, brownout, armed determinism
 #   parallel  RunExecutor determinism (the -DDITTO_TSAN=ON subset;
-#             overlaps the labels above, so the default passes skip it)
+#             its tests that carry another label run in that label's
+#             pass, the executor's own tests in the remainder)
 #
 # Runtime stays bounded for single-core CI: every labeled test is
 # seeded and short (the chaos campaigns use small configs), so the
@@ -61,8 +62,10 @@ fi
 
 # Labeled passes first: --no-tests=error turns a vanished label into
 # a failure rather than a vacuous pass. `parallel` is not its own
-# pass because every parallel test already carries one of these
-# labels; it exists for the TSan build to select.
+# pass: it exists for the TSan build to select. Its tests that also
+# carry one of these labels run in that label's pass; the RunExecutor
+# tests (ditto_executor_tests) carry only `parallel` and run in the
+# remainder.
 status=0
 for label in sanitize obs cluster chaos region clone workload \
              overload; do
@@ -74,7 +77,7 @@ done
 # Everything not covered by a labeled pass (the core suite).
 echo "== tier-1 remainder =="
 ctest --output-on-failure -j "$jobs" --no-tests=error \
-    -LE "sanitize|obs|cluster|chaos|region|clone|workload|overload|parallel" \
+    -LE "sanitize|obs|cluster|chaos|region|clone|workload|overload" \
     || status=$?
 
 # Advisory benchmark-regression check: if this build directory has a
