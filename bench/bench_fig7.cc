@@ -6,12 +6,16 @@
  * clone must react to the platform change (smaller L2, older core,
  * HDD vs SSD, 1Gbe vs 10Gbe) the same way the original does.
  *
- * The Social Network runs per platform are computed once and reused
- * for both reported tiers.
+ * The Platform A column is Fig. 5's medium-load runs (same specs,
+ * load and platform; identical by determinism to running them again),
+ * so only Platforms B and C are simulated here. The Social Network
+ * runs per platform are computed once and reused for both reported
+ * tiers.
  */
 
 #include <functional>
 #include <iostream>
+#include <span>
 
 #include "bench/paper.h"
 
@@ -19,10 +23,13 @@ using namespace ditto;
 using namespace ditto::bench;
 
 void
-bench::fig7(const PaperClones &clones, sim::RunExecutor &ex)
+bench::fig7(const PaperClones &clones, const MediumLoadRuns &medium,
+            sim::RunExecutor &ex)
 {
     const hw::PlatformSpec platforms[] = {
         hw::platformA(), hw::platformB(), hw::platformC()};
+    // The platforms simulated here: all but A.
+    const std::span<const hw::PlatformSpec> simulated(platforms + 1, 2);
     const core::TopologyCloneResult &snClone = clones.socialNetwork;
     ErrorAccumulator errors;
 
@@ -33,7 +40,7 @@ bench::fig7(const PaperClones &clones, sim::RunExecutor &ex)
 
     std::vector<std::function<RunResult()>> runTasks;
     for (const auto &[app, clone] : clones.apps) {
-        for (const hw::PlatformSpec &platform : platforms) {
+        for (const hw::PlatformSpec &platform : simulated) {
             runTasks.push_back([&app, &platform] {
                 return runSingleTier(app.spec,
                                      app.load.at(app.load.mediumQps),
@@ -50,7 +57,7 @@ bench::fig7(const PaperClones &clones, sim::RunExecutor &ex)
 
     const auto snLoad = apps::socialNetworkLoad();
     std::vector<std::function<SnRunResult()>> snTasks;
-    for (const hw::PlatformSpec &platform : platforms) {
+    for (const hw::PlatformSpec &platform : simulated) {
         snTasks.push_back([&snLoad, &platform] {
             return runSocialNetwork(apps::socialNetworkSpecs(),
                                     apps::socialNetworkFrontend(),
@@ -74,27 +81,30 @@ bench::fig7(const PaperClones &clones, sim::RunExecutor &ex)
         ex.collect(std::move(snRunsFuture));
 
     std::size_t runIdx = 0;
-    for (const AppClone &entry : clones.apps) {
+    for (std::size_t i = 0; i < clones.apps.size(); ++i) {
         stats::TablePrinter table(
             {"platform", "metric", "actual", "synthetic", "err"});
         stats::TablePrinter latTable(
             {"platform", "actual avg/p99 (ms)", "synth avg/p99 (ms)"});
 
-        for (const hw::PlatformSpec &platform : platforms) {
-            const RunResult &orig = runs[runIdx++];
-            const RunResult &synth = runs[runIdx++];
-            addMetricRows(table, platform.name, orig.report,
+        for (std::size_t p = 0; p < std::size(platforms); ++p) {
+            const RunResult &orig =
+                p == 0 ? medium.orig[i] : runs[runIdx++];
+            const RunResult &synth =
+                p == 0 ? medium.synth[i] : runs[runIdx++];
+            addMetricRows(table, platforms[p].name, orig.report,
                           synth.report);
             table.addSeparator();
             latTable.addRow(
-                {platform.name,
+                {platforms[p].name,
                  cell(orig.report.avgLatencyMs, 3) + " / " +
                      cell(orig.report.p99LatencyMs, 3),
                  cell(synth.report.avgLatencyMs, 3) + " / " +
                      cell(synth.report.p99LatencyMs, 3)});
             errors.add(orig.report, synth.report);
         }
-        stats::printBanner(std::cout, entry.app.name + " (Fig. 7 panel)");
+        stats::printBanner(std::cout,
+                           clones.apps[i].app.name + " (Fig. 7 panel)");
         table.print(std::cout);
         latTable.print(std::cout);
     }
@@ -103,8 +113,10 @@ bench::fig7(const PaperClones &clones, sim::RunExecutor &ex)
         stats::TablePrinter table(
             {"platform", "metric", "actual", "synthetic", "err"});
         for (std::size_t p = 0; p < std::size(platforms); ++p) {
-            const SnRunResult &orig = snRuns[2 * p];
-            const SnRunResult &synth = snRuns[2 * p + 1];
+            const SnRunResult &orig =
+                p == 0 ? medium.snOrig : snRuns[2 * (p - 1)];
+            const SnRunResult &synth =
+                p == 0 ? medium.snSynth : snRuns[2 * (p - 1) + 1];
             const auto &o = orig.tiers.at(tier);
             const auto &s =
                 synth.tiers.at(std::string(tier) + "_clone");

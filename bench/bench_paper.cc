@@ -50,7 +50,7 @@ main(int argc, char **argv)
     MediumLoadRuns medium;
     stage("paper_fig5", [&] { medium = fig5(clones, ex); });
     stage("paper_fig6", [&] { fig6(clones, ex); });
-    stage("paper_fig7", [&] { fig7(clones, ex); });
+    stage("paper_fig7", [&] { fig7(clones, medium, ex); });
     stage("paper_fig8", [&] { fig8(clones, medium); });
     stage("paper_fig10", [&] { fig10(clones, ex); });
     stage("paper_fig11", [&] { fig11(clones, ex); });

@@ -43,7 +43,10 @@ struct PaperClones
     }
 };
 
-/** Fig. 5's medium-load runs on Platform A, which Fig. 8 reports. */
+/**
+ * Fig. 5's medium-load runs on Platform A, which Fig. 7 reuses as its
+ * Platform A column and Fig. 8 reports.
+ */
 struct MediumLoadRuns
 {
     std::vector<RunResult> orig, synth;  ///< one per app
@@ -52,7 +55,8 @@ struct MediumLoadRuns
 
 MediumLoadRuns fig5(const PaperClones &clones, sim::RunExecutor &ex);
 void fig6(const PaperClones &clones, sim::RunExecutor &ex);
-void fig7(const PaperClones &clones, sim::RunExecutor &ex);
+void fig7(const PaperClones &clones, const MediumLoadRuns &medium,
+          sim::RunExecutor &ex);
 void fig8(const PaperClones &clones, const MediumLoadRuns &runs);
 void fig10(const PaperClones &clones, sim::RunExecutor &ex);
 void fig11(const PaperClones &clones, sim::RunExecutor &ex);

@@ -14,6 +14,63 @@ constexpr unsigned kServiceThreadSlots = 64;
 /** Cycles for an uncontended user-space lock acquire/release. */
 constexpr double kUserLockCycles = 40;
 
+/** Uniform draw in [lo, hi]; `lo`, drawing nothing, when lo >= hi. */
+template <typename T>
+T
+uniformIn(sim::Rng &rng, T lo, T hi)
+{
+    if (lo >= hi)
+        return lo;
+    return static_cast<T>(rng.uniformInt(static_cast<std::int64_t>(lo),
+                                         static_cast<std::int64_t>(hi)));
+}
+
+/**
+ * Throw unless every op of `prog`, Choice arms and Call bodies
+ * included, names a code block, downstream, file and lock that `spec`
+ * declares; `where` names the endpoint or background thread.
+ */
+void
+checkRefs(const ServiceSpec &spec, const Program &prog,
+          const std::string &where)
+{
+    auto check = [&](const char *kind, std::uint32_t ref,
+                     std::size_t count) {
+        if (ref >= count) {
+            throw std::runtime_error(
+                "deploy: service '" + spec.name + "' " + where +
+                " references " + kind + " " + std::to_string(ref) +
+                " of " + std::to_string(count));
+        }
+    };
+    for (const Op &op : prog.ops) {
+        switch (op.kind) {
+          case OpKind::Compute:
+            check("block", op.block, spec.blocks.size());
+            break;
+          case OpKind::FileRead:
+          case OpKind::FileWrite:
+            check("file", op.fileRef, spec.fileBytes.size());
+            break;
+          case OpKind::Rpc:
+            for (const RpcCallSpec &call : op.rpcs)
+                check("downstream", call.target, spec.downstreams.size());
+            break;
+          case OpKind::Lock:
+          case OpKind::Unlock:
+            check("lock", op.lockRef, spec.locks);
+            break;
+          case OpKind::Choice:
+          case OpKind::Call:
+            for (const Program &sub : op.subs)
+                checkRefs(spec, sub, where);
+            break;
+          case OpKind::Sleep:
+            break;
+        }
+    }
+}
+
 } // namespace
 
 std::string_view
@@ -36,27 +93,7 @@ sysKindName(SysKind kind)
 void
 ServiceStats::reset(sim::Time now)
 {
-    exec = hw::ExecStats{};
-    latency.reset();
-    requests = 0;
-    rxBytes = 0;
-    txBytes = 0;
-    diskReadBytes = 0;
-    diskWriteBytes = 0;
-    rpcOk = 0;
-    rpcRetries = 0;
-    rpcTimeouts = 0;
-    rpcBreakerFastFails = 0;
-    rpcStaleResponses = 0;
-    requestsShed = 0;
-    requestsDegraded = 0;
-    rpcCallsStarted = 0;
-    rpcCancelled = 0;
-    rpcHedges = 0;
-    rpcHedgeWins = 0;
-    requestsCancelled = 0;
-    rpcRetriesSuppressed = 0;
-    rpcBrownoutSkipped = 0;
+    *this = ServiceStats{};
     measureStart = now;
 }
 
@@ -136,15 +173,12 @@ ProgramRunner::execOp(os::StepCtx &ctx, Worker &worker, Frame &frame,
 {
     ServiceInstance &service = worker.service();
     os::Kernel &kernel = ctx.kernel;
-    sim::Rng &rng = service.rng();
+    sim::Rng &rng = service.rng_;
 
     switch (op.kind) {
       case OpKind::Compute: {
-        const std::uint64_t iters = op.itersMin >= op.itersMax
-            ? op.itersMin
-            : static_cast<std::uint64_t>(rng.uniformInt(
-                  static_cast<std::int64_t>(op.itersMin),
-                  static_cast<std::int64_t>(op.itersMax)));
+        const std::uint64_t iters =
+            uniformIn(rng, op.itersMin, op.itersMax);
         hw::ExecStats scratch;
         const double cycles = ctx.core.run(
             service.image(), op.block, iters, worker.execContext(),
@@ -158,13 +192,10 @@ ProgramRunner::execOp(os::StepCtx &ctx, Worker &worker, Frame &frame,
 
       case OpKind::FileRead: {
         if (frame.phase == 0) {
-            const std::uint64_t bytes = op.bytesMin >= op.bytesMax
-                ? op.bytesMin
-                : static_cast<std::uint64_t>(rng.uniformInt(
-                      static_cast<std::int64_t>(op.bytesMin),
-                      static_cast<std::int64_t>(op.bytesMax)));
+            const std::uint64_t bytes =
+                uniformIn(rng, op.bytesMin, op.bytesMax);
             const std::uint64_t fileSize =
-                service.fileSize(op.fileRef);
+                service.spec_.fileBytes[op.fileRef];
             const std::uint64_t maxOff =
                 fileSize > bytes ? fileSize - bytes : 0;
             std::uint64_t offset = rng.uniformInt(maxOff + 1);
@@ -176,9 +207,9 @@ ProgramRunner::execOp(os::StepCtx &ctx, Worker &worker, Frame &frame,
             }
             std::uint64_t diskBytes = 0;
             const os::SysResult res = kernel.sysPread(
-                ctx, worker, service.fileId(op.fileRef), offset,
+                ctx, worker, service.fileIds_[op.fileRef], offset,
                 bytes, diskBytes);
-            worker.accountDiskRead(diskBytes);
+            service.stats_.diskReadBytes += diskBytes;
             if (res == os::SysResult::Ok) {
                 frame.pc++;
                 return Status::Done;
@@ -194,278 +225,31 @@ ProgramRunner::execOp(os::StepCtx &ctx, Worker &worker, Frame &frame,
       }
 
       case OpKind::FileWrite: {
-        const std::uint64_t bytes = op.bytesMin >= op.bytesMax
-            ? op.bytesMin
-            : static_cast<std::uint64_t>(rng.uniformInt(
-                  static_cast<std::int64_t>(op.bytesMin),
-                  static_cast<std::int64_t>(op.bytesMax)));
-        const std::uint64_t fileSize = service.fileSize(op.fileRef);
+        const std::uint64_t bytes =
+            uniformIn(rng, op.bytesMin, op.bytesMax);
+        const std::uint64_t fileSize = service.spec_.fileBytes[op.fileRef];
         const std::uint64_t maxOff =
             fileSize > bytes ? fileSize - bytes : 0;
         const std::uint64_t offset = rng.uniformInt(maxOff + 1);
         worker.probeSyscall(SysKind::Pwrite, bytes);
         if (service.probe())
             service.probe()->onFileAccess(worker, offset, bytes, true);
-        kernel.sysPwrite(ctx, worker, service.fileId(op.fileRef),
+        kernel.sysPwrite(ctx, worker, service.fileIds_[op.fileRef],
                          offset, bytes);
-        worker.accountDiskWrite(bytes);
+        service.stats_.diskWriteBytes += bytes;
         frame.pc++;
         return Status::Done;
       }
 
       case OpKind::Rpc: {
-        const bool async =
-            service.spec().clientModel == ClientModel::Async;
-        const ResilienceSpec &res = service.spec().resilience;
-        const std::size_t n = op.rpcs.size();
-        if (n == 0) {
+        const Status st = worker.callOut(ctx, op, frame.phase);
+        if (st == Status::Done)
             frame.pc++;
-            return Status::Done;
-        }
-
-        Worker::RpcState &rs = worker.rpcState();
-        const std::uint64_t traceId =
-            worker.currentRequest().msg.traceId;
-        auto each_open = [&rs](auto &&fn) {
-            for (Worker::Attempt &a : rs.attempts) {
-                if (a.open)
-                    fn(a);
-            }
-        };
-
-        if (!async) {
-            // Sync client: send call k, await its response, repeat.
-            // With resilience enabled each call runs an attempt loop:
-            // arm a deadline, and on expiry back off and resend (the
-            // response is matched by tag, so a late first reply is
-            // discarded rather than credited to the retry). Each
-            // attempt picks a replica through the edge balancer, so a
-            // retry can land on -- and route around a crash via -- a
-            // different replica than the attempt it replaces.
-            while (true) {
-                const std::size_t callIdx =
-                    static_cast<std::size_t>(frame.phase) / 2;
-                if (callIdx >= n) {
-                    frame.phase = 0;
-                    frame.pc++;
-                    return Status::Done;
-                }
-                const RpcCallSpec &call = op.rpcs[callIdx];
-                CircuitBreaker *cb = service.breaker(call.target);
-                if (frame.phase % 2 == 0) {
-                    const sim::Time budget = worker.hopBudget();
-                    if (!worker.admitCall(
-                            ctx, call,
-                            budget != 0 && budget <= worker.now(ctx),
-                            rs.attempt, rs.attempt)) {
-                        rs.reset();
-                        frame.phase += 2;  // skip the call
-                        continue;
-                    }
-                    rs.attempt++;
-                    rs.attempts.resize(2);  // {primary, hedge}
-                    rs.sendDeadline = worker.forwardDeadline(ctx, budget);
-                    worker.sendAttempt(
-                        ctx, rs.attempts[0], call,
-                        service.pickReplica(call.target, traceId),
-                        rs.sendDeadline);
-                    worker.armAttemptTimer(ctx, budget);
-                    if (res.hedge.enabled && rs.attempt == 1 &&
-                        service.downstreamGroup(call.target).size() >
-                            1) {
-                        worker.armHedgeTimer(ctx, res.hedge.delay);
-                    }
-                    frame.phase++;
-                } else if (rs.inBackoff) {
-                    if (!rs.timerFired)
-                        return Status::Blocked;  // spurious wake
-                    rs.inBackoff = false;
-                    rs.timerFired = false;
-                    frame.phase--;  // backoff over: resend
-                } else {
-                    Worker::Attempt &primary = rs.attempts[0];
-                    Worker::Attempt &hedge = rs.attempts[1];
-                    os::Message resp;
-                    bool got = false;
-                    for (Worker::Attempt &a : rs.attempts) {
-                        if (a.open &&
-                            kernel.sysSocketTryRead(ctx, worker, *a.conn,
-                                                    resp) ==
-                                os::SysResult::Ok) {
-                            got = true;
-                            break;
-                        }
-                    }
-                    if (got) {
-                        Worker::Attempt *won = worker.matchReply(resp.tag);
-                        if (!won) {
-                            worker.dropStaleReply(resp);
-                            continue;
-                        }
-                        worker.acceptReply(*won, resp);
-                        worker.cancelRpcTimer();
-                        worker.cancelHedgeTimer();
-                        // First response wins; the hedge race's loser
-                        // is abandoned. Its late reply, if any, dies
-                        // as a stale one.
-                        each_open([&](Worker::Attempt &a) {
-                            worker.abandonAttempt(&ctx, a);
-                        });
-                        worker.settleOk(
-                            *won,
-                            won == &hedge ? trace::OutcomeKind::RpcHedgeWon
-                                : rs.attempt > 1
-                                ? trace::OutcomeKind::RpcRetriedOk
-                                : trace::OutcomeKind::RpcOk,
-                            rs.attempt, resp);
-                        rs.reset();
-                        frame.phase++;
-                    } else if (rs.timerFired) {
-                        // Attempt deadline expired with no response.
-                        rs.timerFired = false;
-                        worker.cancelHedgeTimer();
-                        each_open([&](Worker::Attempt &a) {
-                            worker.abandonAttempt(&ctx, a);
-                        });
-                        // One failure per call, hedged or not: hedges
-                        // must never double-count against the breaker.
-                        if (cb)
-                            cb->onFailure(worker.now(ctx));
-                        bool retryAllowed =
-                            rs.attempt < res.retry.maxAttempts;
-                        const char *giveUpCause = "";
-                        if (retryAllowed &&
-                            !service.retryBudget().allowWithdraw()) {
-                            // Retry budget exhausted: the attempt
-                            // settles as the timeout it is instead of
-                            // feeding a retry storm.
-                            retryAllowed = false;
-                            giveUpCause = "retry_budget";
-                            service.stats().rpcRetriesSuppressed++;
-                        }
-                        if (retryAllowed) {
-                            service.stats().rpcRetries++;
-                            rs.inBackoff = true;
-                            worker.armRpcTimer(
-                                ctx, computeBackoff(res.retry,
-                                                    rs.attempt,
-                                                    service.rng()));
-                            return Status::Blocked;
-                        }
-                        service.noteOutcome(
-                            worker, trace::OutcomeKind::RpcTimeout,
-                            call.target, call.endpoint, rs.attempt,
-                            traceId, giveUpCause);
-                        worker.currentRequest().degraded = true;
-                        rs.reset();
-                        frame.phase++;  // give up on this call
-                    } else if (rs.hedgeFired && !rs.hedgeLaunched) {
-                        // Hedge threshold passed: launch the second
-                        // attempt on a different replica. When no
-                        // other replica is usable, skip the hedge
-                        // (hedgeLaunched stays set so it won't refire
-                        // for this call).
-                        rs.hedgeFired = false;
-                        rs.hedgeLaunched = true;
-                        const std::size_t other =
-                            service.pickReplicaExcluding(
-                                call.target, traceId, primary.replica);
-                        if (other != primary.replica) {
-                            worker.sendAttempt(ctx, hedge, call, other,
-                                               rs.sendDeadline);
-                            service.stats().rpcHedges++;
-                        }
-                    } else {
-                        each_open([&](Worker::Attempt &a) {
-                            a.conn->addWaiter(&worker);
-                        });
-                        return Status::Blocked;
-                    }
-                }
-                if (ctx.overBudget() &&
-                    static_cast<std::size_t>(frame.phase) / 2 < n) {
-                    return Status::Budget;
-                }
-            }
-        }
-
-        // Async client: fire the whole fanout, then collect. Each
-        // call picks its replica independently, so one fanout can
-        // spread across the replicas of a single downstream group.
-        if (frame.phase == 0) {
-            rs.reset();
-            rs.attempts.assign(n, Worker::Attempt{});
-            const sim::Time budget = worker.hopBudget();
-            const bool budgetDead =
-                budget != 0 && budget <= worker.now(ctx);
-            bool sent = false;
-            for (std::size_t i = 0; i < n; ++i) {
-                const RpcCallSpec &call = op.rpcs[i];
-                if (!worker.admitCall(ctx, call, budgetDead, 0, 1))
-                    continue;
-                worker.sendAttempt(
-                    ctx, rs.attempts[i], call,
-                    service.pickReplica(call.target, traceId),
-                    worker.forwardDeadline(ctx, budget));
-                sent = true;
-            }
-            frame.phase = 1;
-            if (sent)
-                worker.armAttemptTimer(ctx, budget);
-        }
-        // Collect phase: drain whatever is ready. Calls to the same
-        // target share one connection, so match each reply against
-        // every open attempt; unmatched replies are stale leftovers of
-        // an earlier timed-out fanout.
-        each_open([&](Worker::Attempt &leg) {
-            leg.conn->removeWaiter(&worker);
-            os::Message resp;
-            while (leg.open &&
-                   kernel.sysSocketTryRead(ctx, worker, *leg.conn,
-                                           resp) == os::SysResult::Ok) {
-                Worker::Attempt *match = worker.matchReply(resp.tag);
-                if (!match) {
-                    worker.dropStaleReply(resp);
-                    continue;
-                }
-                worker.acceptReply(*match, resp);
-                worker.settleOk(*match, trace::OutcomeKind::RpcOk, 1,
-                                resp);
-            }
-        });
-        if (std::none_of(rs.attempts.begin(), rs.attempts.end(),
-                         [](const Worker::Attempt &a) { return a.open; })) {
-            worker.cancelRpcTimer();
-            rs.reset();
-            frame.phase = 0;
-            frame.pc++;
-            return Status::Done;
-        }
-        if (rs.timerFired) {
-            // Fanout deadline: abandon every still-open call.
-            each_open([&](Worker::Attempt &leg) {
-                worker.abandonAttempt(&ctx, leg);
-                if (CircuitBreaker *cb = service.breaker(leg.target))
-                    cb->onFailure(worker.now(ctx));
-                service.noteOutcome(
-                    worker, trace::OutcomeKind::RpcTimeout, leg.target,
-                    leg.endpoint, 1, traceId);
-                worker.currentRequest().degraded = true;
-            });
-            rs.reset();
-            frame.phase = 0;
-            frame.pc++;
-            return Status::Done;
-        }
-        // Park on every still-open call's connection.
-        each_open([&](Worker::Attempt &leg) {
-            leg.conn->addWaiter(&worker);
-        });
-        return Status::Blocked;
+        return st;
       }
 
       case OpKind::Lock: {
-        ServiceInstance::LockState &lock = service.lock(op.lockRef);
+        ServiceInstance::LockState &lock = service.locks_[op.lockRef];
         if (!lock.held) {
             lock.held = true;
             worker.noteLockAcquired(op.lockRef);
@@ -479,7 +263,7 @@ ProgramRunner::execOp(os::StepCtx &ctx, Worker &worker, Frame &frame,
       }
 
       case OpKind::Unlock: {
-        ServiceInstance::LockState &lock = service.lock(op.lockRef);
+        ServiceInstance::LockState &lock = service.locks_[op.lockRef];
         worker.noteLockReleased(op.lockRef);
         ctx.cyclesUsed += kUserLockCycles;
         if (lock.queue->hasWaiters()) {
@@ -554,6 +338,13 @@ ServiceInstance::ServiceInstance(const ServiceSpec &spec,
       tracer_(tracer), rng_(seed ^ 0x5e41ceull), seed_(seed),
       replicaIndex_(replicaIndex)
 {
+    // Before anything is allocated on the machine: a bad reference
+    // would otherwise surface as a crash on the first request.
+    for (const EndpointSpec &ep : spec_.endpoints)
+        checkRefs(spec_, ep.handler, "endpoint '" + ep.name + "'");
+    for (const BackgroundSpec &bg : spec_.background)
+        checkRefs(spec_, bg.body, "background '" + bg.name + "'");
+
     const os::Machine::AddressRegion region = machine_.allocRegion();
     image_ = std::make_unique<hw::CodeImage>(
         region.textBase, region.dataBase, kServiceThreadSlots);
@@ -617,12 +408,6 @@ ServiceInstance::instanceLabel() const
 }
 
 ServiceInstance::~ServiceInstance() = default;
-
-std::uint64_t
-ServiceInstance::fileSize(std::uint32_t ref) const
-{
-    return spec_.fileBytes[ref];
-}
 
 Worker *
 ServiceInstance::spawnWorker(ThreadRole role, const std::string &name,
@@ -698,22 +483,29 @@ ServiceInstance::openDownstreamConns(Worker &w)
     w.setDownConns(std::move(conns));
 }
 
+bool
+ServiceInstance::replicaUsable(std::uint32_t target, std::size_t i) const
+{
+    const ServiceInstance *r = downstreamGroups_[target][i];
+    const std::uint32_t pin = edgeRegionPins_[target];
+    if (pin != kNoRegionPin && r->machine_.regionId() != pin)
+        return false;
+    return !r->down_ && !r->machine_.down();
+}
+
+bool
+ServiceInstance::replicaLocal(std::uint32_t target, std::size_t i) const
+{
+    return downstreamGroups_[target][i]->machine_.regionId() ==
+        machine_.regionId();
+}
+
 std::size_t
 ServiceInstance::pickReplica(std::uint32_t target, std::uint64_t key)
 {
-    const std::vector<ServiceInstance *> &group =
-        downstreamGroups_[target];
-    const std::uint32_t pin = edgeRegionPins_[target];
-    auto alive = [&](std::size_t i) {
-        ServiceInstance *r = group[i];
-        if (pin != kNoRegionPin && r->machine().regionId() != pin)
-            return false;
-        return !r->down() && !r->machine().down();
-    };
-    const std::uint32_t myRegion = machine_.regionId();
-    return balancers_[target].pick(key, alive, [&](std::size_t i) {
-        return group[i]->machine().regionId() == myRegion;
-    });
+    return balancers_[target].pick(
+        key, [&](std::size_t i) { return replicaUsable(target, i); },
+        [&](std::size_t i) { return replicaLocal(target, i); });
 }
 
 std::size_t
@@ -721,28 +513,17 @@ ServiceInstance::pickReplicaExcluding(std::uint32_t target,
                                       std::uint64_t key,
                                       std::size_t exclude)
 {
-    const std::vector<ServiceInstance *> &group =
-        downstreamGroups_[target];
-    const std::uint32_t pin = edgeRegionPins_[target];
-    auto alive = [&](std::size_t i) {
-        ServiceInstance *r = group[i];
-        if (pin != kNoRegionPin && r->machine().regionId() != pin)
-            return false;
-        return !r->down() && !r->machine().down();
-    };
+    auto alive = [&](std::size_t i) { return replicaUsable(target, i); };
     cluster::EdgeBalancer &bal = balancers_[target];
     if (bal.policy() == cluster::BalancerPolicy::PreferLocal) {
         // Hedge locality: while any local replica is alive, the hedge
         // must stay in this machine's region -- if the only live
         // local replica is the primary, return `exclude` so the
         // caller skips the hedge instead of crossing the WAN.
-        const std::uint32_t myRegion = machine_.regionId();
-        auto local = [&](std::size_t i) {
-            return group[i]->machine().regionId() == myRegion;
-        };
+        auto local = [&](std::size_t i) { return replicaLocal(target, i); };
         bool anyLocal = false;
         bool otherLocal = false;
-        for (std::size_t i = 0; i < group.size(); ++i) {
+        for (std::size_t i = 0; i < downstreamGroups_[target].size(); ++i) {
             if (!bal.active(i) || !alive(i) || !local(i))
                 continue;
             anyLocal = true;
@@ -826,28 +607,10 @@ ServiceInstance::openConnection()
     }
     w->addConnection(sock);
     sock->onCancel = [this, w, sock](const os::Message &msg) {
-        handleCancel(*w, *sock, msg);
+        if (!down_)
+            w->requestCancel(*sock, msg.tag);
     };
     return sock;
-}
-
-void
-ServiceInstance::handleCancel(Worker &w, os::Socket &sock,
-                              const os::Message &msg)
-{
-    if (down_)
-        return;
-    os::Message victim;
-    if (sock.removeQueued(msg.tag, victim)) {
-        // Still queued: release the inbound slot without running the
-        // handler. The request bytes were received, so they count.
-        stats_.rxBytes += victim.bytes;
-        noteOutcome(w, trace::OutcomeKind::RequestCancelled, 0,
-                    victim.endpoint, 0, victim.traceId,
-                    "cancelled_in_queue");
-        return;
-    }
-    w.requestCancel(sock, msg.tag);
 }
 
 void
@@ -942,7 +705,8 @@ Worker::Worker(ServiceInstance &service, ThreadRole role,
                const Program *background, sim::Time period,
                std::uint64_t seed)
     : os::Thread(std::move(name), threadSlot, seed), service_(service),
-      role_(role), background_(background), period_(period)
+      role_(role), background_(background), period_(period),
+      armed_(service.spec().resilience.any())
 {
     if (role_ == ThreadRole::Worker &&
         service_.spec().serverModel == ServerModel::IoMultiplex) {
@@ -972,62 +736,234 @@ Worker::probeSyscall(SysKind kind, std::uint64_t bytes)
         service_.probe()->onSyscall(*this, kind, bytes);
 }
 
-void
-Worker::accountDiskRead(std::uint64_t bytes)
+ProgramRunner::Status
+Worker::callOut(os::StepCtx &ctx, const Op &op, int &phase)
 {
-    service_.stats().diskReadBytes += bytes;
+    if (op.rpcs.empty())
+        return ProgramRunner::Status::Done;
+    if (service_.spec().clientModel == ClientModel::Async)
+        return callOutAsync(ctx, op.rpcs, phase);
+    return callOutSync(ctx, op.rpcs, phase);
+}
+
+ProgramRunner::Status
+Worker::callOutSync(os::StepCtx &ctx, const std::vector<RpcCallSpec> &calls,
+                    int &phase)
+{
+    // Sync client: send call k, await its response, repeat. With
+    // resilience enabled each call runs an attempt loop: arm a
+    // deadline, and on expiry back off and resend (the response is
+    // matched by tag, so a late first reply is discarded rather than
+    // credited to the retry). Each attempt picks a replica through the
+    // edge balancer, so a retry can land on -- and route around a
+    // crash via -- a different replica than the attempt it replaces.
+    using Status = ProgramRunner::Status;
+    const ResilienceSpec &res = service_.spec().resilience;
+    RpcState &rs = rpcState_;
+    const std::uint64_t traceId = req_.msg.traceId;
+    while (true) {
+        const std::size_t callIdx = static_cast<std::size_t>(phase) / 2;
+        if (callIdx >= calls.size()) {
+            phase = 0;
+            return Status::Done;
+        }
+        const RpcCallSpec &call = calls[callIdx];
+        if (phase % 2 == 0) {
+            const sim::Time budget = hopBudget();
+            if (!admitCall(ctx, call, budget != 0 && budget <= now(ctx),
+                           rs.attempt, rs.attempt)) {
+                rs.reset();
+                phase += 2;  // skip the call
+                continue;
+            }
+            rs.attempt++;
+            rs.attempts.resize(2);  // {primary, hedge}
+            rs.sendDeadline = forwardDeadline(ctx, budget);
+            sendAttempt(ctx, rs.attempts[0], call,
+                        service_.pickReplica(call.target, traceId),
+                        rs.sendDeadline);
+            armAttemptTimer(ctx, budget);
+            if (res.hedge.enabled && rs.attempt == 1 &&
+                service_.downstreamGroups_[call.target].size() > 1) {
+                armTimer(rs.hedge, ctx, res.hedge.delay);
+            }
+            phase++;
+        } else if (rs.inBackoff) {
+            if (!rs.deadline.fired)
+                return Status::Blocked;  // spurious wake
+            rs.inBackoff = false;
+            rs.deadline.fired = false;
+            phase--;  // backoff over: resend
+        } else {
+            Attempt &primary = rs.attempts[0];
+            Attempt &hedge = rs.attempts[1];
+            os::Message resp;
+            bool got = false;
+            for (Attempt &a : rs.attempts) {
+                if (a.open &&
+                    ctx.kernel.sysSocketTryRead(ctx, *this, *a.conn,
+                                                resp) == os::SysResult::Ok) {
+                    got = true;
+                    break;
+                }
+            }
+            if (got) {
+                Attempt *won = matchReply(resp.tag);
+                if (!won) {
+                    dropStaleReply(resp);
+                    continue;
+                }
+                acceptReply(*won, resp);
+                cancelTimer(rs.deadline);
+                cancelTimer(rs.hedge);
+                // First response wins; the hedge race's loser is
+                // abandoned. Its late reply, if any, dies as a stale
+                // one.
+                eachOpen([&](Attempt &a) { abandonAttempt(&ctx, a); });
+                settleOk(*won,
+                         won == &hedge ? trace::OutcomeKind::RpcHedgeWon
+                             : rs.attempt > 1
+                             ? trace::OutcomeKind::RpcRetriedOk
+                             : trace::OutcomeKind::RpcOk,
+                         rs.attempt, resp);
+                rs.reset();
+                phase++;
+            } else if (rs.deadline.fired) {
+                // Attempt deadline expired with no response.
+                rs.deadline.fired = false;
+                cancelTimer(rs.hedge);
+                bool retryAllowed = rs.attempt < res.retry.maxAttempts;
+                const char *giveUpCause = "";
+                if (retryAllowed && !service_.retryBudget().allowWithdraw()) {
+                    // Retry budget exhausted: the attempt settles as the
+                    // timeout it is instead of feeding a retry storm.
+                    retryAllowed = false;
+                    giveUpCause = "retry_budget";
+                    service_.stats().rpcRetriesSuppressed++;
+                }
+                timeOutCall(ctx, rs.attempts, rs.attempt, retryAllowed,
+                            giveUpCause);
+                if (retryAllowed) {
+                    service_.stats().rpcRetries++;
+                    rs.inBackoff = true;
+                    armTimer(rs.deadline, ctx,
+                             computeBackoff(res.retry, rs.attempt,
+                                            service_.rng_));
+                    return Status::Blocked;
+                }
+                rs.reset();
+                phase++;  // give up on this call
+            } else if (rs.hedge.fired && !rs.hedgeLaunched) {
+                // Hedge threshold passed: launch the second attempt on
+                // a different replica. When no other replica is
+                // usable, skip the hedge (hedgeLaunched stays set so it
+                // won't refire for this call).
+                rs.hedge.fired = false;
+                rs.hedgeLaunched = true;
+                const std::size_t other = service_.pickReplicaExcluding(
+                    call.target, traceId, primary.replica);
+                if (other != primary.replica) {
+                    sendAttempt(ctx, hedge, call, other, rs.sendDeadline);
+                    service_.stats().rpcHedges++;
+                }
+            } else {
+                eachOpen([&](Attempt &a) { a.conn->addWaiter(this); });
+                return Status::Blocked;
+            }
+        }
+        if (ctx.overBudget() &&
+            static_cast<std::size_t>(phase) / 2 < calls.size()) {
+            return Status::Budget;
+        }
+    }
+}
+
+ProgramRunner::Status
+Worker::callOutAsync(os::StepCtx &ctx,
+                     const std::vector<RpcCallSpec> &calls, int &phase)
+{
+    // Async client: fire the whole fanout, then collect. Each call
+    // picks its replica independently, so one fanout can spread
+    // across the replicas of a single downstream group.
+    RpcState &rs = rpcState_;
+    if (phase == 0) {
+        rs.reset();
+        rs.attempts.assign(calls.size(), Attempt{});
+        const sim::Time budget = hopBudget();
+        const bool budgetDead = budget != 0 && budget <= now(ctx);
+        bool sent = false;
+        for (std::size_t i = 0; i < calls.size(); ++i) {
+            const RpcCallSpec &call = calls[i];
+            if (!admitCall(ctx, call, budgetDead, 0, 1))
+                continue;
+            sendAttempt(ctx, rs.attempts[i], call,
+                        service_.pickReplica(call.target, req_.msg.traceId),
+                        forwardDeadline(ctx, budget));
+            sent = true;
+        }
+        phase = 1;
+        if (sent)
+            armAttemptTimer(ctx, budget);
+    }
+    // Collect phase: drain whatever is ready. Calls to the same target
+    // share one connection, so match each reply against every open
+    // attempt; unmatched replies are stale leftovers of an earlier
+    // timed-out fanout.
+    eachOpen([&](Attempt &leg) {
+        leg.conn->removeWaiter(this);
+        os::Message resp;
+        while (leg.open &&
+               ctx.kernel.sysSocketTryRead(ctx, *this, *leg.conn, resp) ==
+                   os::SysResult::Ok) {
+            Attempt *match = matchReply(resp.tag);
+            if (!match) {
+                dropStaleReply(resp);
+                continue;
+            }
+            acceptReply(*match, resp);
+            settleOk(*match, trace::OutcomeKind::RpcOk, 1, resp);
+        }
+    });
+    if (rs.deadline.fired ||
+        std::none_of(rs.attempts.begin(), rs.attempts.end(),
+                     [](const Attempt &a) { return a.open; })) {
+        // Every call answered, or the fanout deadline passed: the
+        // calls still open time out.
+        cancelTimer(rs.deadline);
+        eachOpen([&](Attempt &leg) {
+            timeOutCall(ctx, {&leg, 1}, 1, false, "");
+        });
+        rs.reset();
+        phase = 0;
+        return ProgramRunner::Status::Done;
+    }
+    // Park on every still-open call's connection.
+    eachOpen([&](Attempt &leg) { leg.conn->addWaiter(this); });
+    return ProgramRunner::Status::Blocked;
 }
 
 void
-Worker::accountDiskWrite(std::uint64_t bytes)
+Worker::armTimer(Timer &t, const os::StepCtx &ctx, sim::Time delay)
 {
-    service_.stats().diskWriteBytes += bytes;
-}
-
-void
-Worker::armRpcTimer(const os::StepCtx &ctx, sim::Time delay)
-{
-    cancelRpcTimer();
-    // The slice runs ahead of simulated time: anchor the deadline at
-    // the syscall's logical position inside the slice, like Unlock.
-    rpcState_.timer = service_.machine().events().scheduleAfter(
-        ctx.kernel.sliceOffset(ctx) + delay, [this] {
-            rpcState_.timer = 0;
-            rpcState_.timerFired = true;
+    cancelTimer(t);
+    // The slice runs ahead of simulated time: anchor the timer at the
+    // syscall's logical position inside the slice, like Unlock.
+    t.event = service_.machine().events().scheduleAfter(
+        ctx.kernel.sliceOffset(ctx) + delay, [this, &t] {
+            t.event = 0;
+            t.fired = true;
             service_.machine().scheduler().wake(this);
         });
 }
 
 void
-Worker::cancelRpcTimer()
+Worker::cancelTimer(Timer &t)
 {
-    if (rpcState_.timer != 0) {
-        service_.machine().events().cancel(rpcState_.timer);
-        rpcState_.timer = 0;
+    if (t.event != 0) {
+        service_.machine().events().cancel(t.event);
+        t.event = 0;
     }
-    rpcState_.timerFired = false;
-}
-
-void
-Worker::armHedgeTimer(const os::StepCtx &ctx, sim::Time delay)
-{
-    cancelHedgeTimer();
-    rpcState_.hedgeTimer = service_.machine().events().scheduleAfter(
-        ctx.kernel.sliceOffset(ctx) + delay, [this] {
-            rpcState_.hedgeTimer = 0;
-            rpcState_.hedgeFired = true;
-            service_.machine().scheduler().wake(this);
-        });
-}
-
-void
-Worker::cancelHedgeTimer()
-{
-    if (rpcState_.hedgeTimer != 0) {
-        service_.machine().events().cancel(rpcState_.hedgeTimer);
-        rpcState_.hedgeTimer = 0;
-    }
-    rpcState_.hedgeFired = false;
+    t.fired = false;
 }
 
 sim::Time
@@ -1066,7 +1002,7 @@ Worker::armAttemptTimer(const os::StepCtx &ctx, sim::Time budget)
             delay = rem;
     }
     if (delay > 0)
-        armRpcTimer(ctx, delay);
+        armTimer(rpcState_.deadline, ctx, delay);
 }
 
 bool
@@ -1076,7 +1012,7 @@ Worker::admitCall(const os::StepCtx &ctx, const RpcCallSpec &call,
 {
     const std::uint64_t traceId = req_.msg.traceId;
     if (attempts == 0) {
-        if (service_.spec().resilience.any())
+        if (armed_)
             service_.stats().rpcCallsStarted++;
         service_.retryBudget().onFresh();
         if (call.optional && service_.brownoutActive()) {
@@ -1121,14 +1057,14 @@ Worker::sendAttempt(os::StepCtx &ctx, Attempt &a, const RpcCallSpec &call,
     a.target = call.target;
     a.endpoint = call.endpoint;
     a.replica = replica;
-    a.conn = downConn(call.target, replica);
-    service_.balancer(call.target).onSend(replica);
+    a.conn = downConns_[call.target][replica];
+    service_.balancers_[call.target].onSend(replica);
 
     os::Message req;
     req.kind = os::MsgKind::Request;
     req.bytes = call.requestBytes;
     req.endpoint = call.endpoint;
-    req.tag = service_.nextTag();
+    req.tag = service_.nextTag_++;
     req.traceId = req_.msg.traceId;
     req.parentSpan = req_.serverSpan;
     req.sendTime = now(ctx);
@@ -1145,10 +1081,9 @@ Worker::sendAttempt(os::StepCtx &ctx, Attempt &a, const RpcCallSpec &call,
                                       call.responseBytes);
     }
     if (service_.tracer()) {
-        ServiceInstance *target = service_.downstream(call.target);
         service_.tracer()->recordEdge(trace::RpcEdge{
             req.traceId, req.parentSpan, service_.name(),
-            target ? target->name() : "?", call.endpoint,
+            service_.spec_.downstreams[call.target], call.endpoint,
             call.requestBytes, call.responseBytes,
             deadline > req.sendTime
                 ? static_cast<std::uint64_t>(deadline - req.sendTime)
@@ -1175,7 +1110,7 @@ Worker::acceptReply(Attempt &a, const os::Message &resp)
     // worker off `a.conn`'s wait list (Socket::push wakes its sole
     // waiter), so unlike abandonAttempt there is nothing to leave.
     probeSyscall(SysKind::SocketRead, resp.bytes);
-    service_.balancer(a.target).onDone(a.replica);
+    service_.balancers_[a.target].onDone(a.replica);
     a.open = false;
 }
 
@@ -1194,10 +1129,31 @@ void
 Worker::abandonAttempt(os::StepCtx *ctx, Attempt &a)
 {
     a.conn->removeWaiter(this);
-    service_.balancer(a.target).onDone(a.replica);
+    service_.balancers_[a.target].onDone(a.replica);
     if (ctx && service_.spec().resilience.cancellation)
         sendCancelMsg(*ctx, a.conn, a.tag, req_.msg.traceId);
     a.open = false;
+}
+
+void
+Worker::timeOutCall(os::StepCtx &ctx, std::span<Attempt> legs,
+                    unsigned attempts, bool retrying, const char *cause)
+{
+    for (Attempt &a : legs) {
+        if (a.open)
+            abandonAttempt(&ctx, a);
+    }
+    const Attempt &call = legs.front();
+    // One failure per call, hedged or not: hedges must never
+    // double-count against the breaker.
+    if (CircuitBreaker *cb = service_.breaker(call.target))
+        cb->onFailure(now(ctx));
+    if (retrying)
+        return;
+    service_.noteOutcome(*this, trace::OutcomeKind::RpcTimeout,
+                         call.target, call.endpoint, attempts,
+                         req_.msg.traceId, cause);
+    req_.degraded = true;
 }
 
 void
@@ -1206,7 +1162,7 @@ Worker::settleOk(const Attempt &a, trace::OutcomeKind kind,
 {
     if (CircuitBreaker *cb = service_.breaker(a.target))
         cb->onSuccess();
-    if (service_.spec().resilience.any()) {
+    if (armed_) {
         service_.noteOutcome(*this, kind, a.target, a.endpoint, attempts,
                              req_.msg.traceId);
     }
@@ -1247,7 +1203,7 @@ void
 Worker::releaseHeldLocks()
 {
     for (const std::uint32_t ref : heldLocks_) {
-        ServiceInstance::LockState &lock = service_.lock(ref);
+        ServiceInstance::LockState &lock = service_.locks_[ref];
         lock.held = false;
         if (lock.queue)
             lock.queue->wake(1);
@@ -1261,13 +1217,10 @@ Worker::detachFromBlockers()
     // Only the wait-list part of abandonAttempt: this runs outside the
     // worker's slice, so the balancer slots and cancel chases are left
     // to settleOpenCalls on the worker's next slice.
-    for (Attempt &a : rpcState_.attempts) {
-        if (a.open)
-            a.conn->removeWaiter(this);
-    }
+    eachOpen([this](Attempt &a) { a.conn->removeWaiter(this); });
     const Op *op = runner_.currentOp();
     if (op && op->kind == OpKind::Lock) {
-        ServiceInstance::LockState &lock = service_.lock(op->lockRef);
+        ServiceInstance::LockState &lock = service_.locks_[op->lockRef];
         if (lock.queue)
             lock.queue->removeWaiter(this);
     }
@@ -1281,21 +1234,43 @@ Worker::settleOpenCalls(os::StepCtx *ctx, const char *cause)
     // backing off between attempts.
     RpcState &rs = rpcState_;
     const bool async = service_.spec().clientModel == ClientModel::Async;
-    const bool note = service_.spec().resilience.any();
     auto cancelled = [&](const Attempt &a, unsigned attempts) {
         service_.noteOutcome(*this, trace::OutcomeKind::RpcCancelled,
                              a.target, a.endpoint, attempts,
                              req_.msg.traceId, cause);
     };
-    for (Attempt &a : rs.attempts) {
-        if (!a.open)
-            continue;
+    eachOpen([&](Attempt &a) {
         abandonAttempt(ctx, a);
-        if (async && note)
+        if (async && armed_)
             cancelled(a, 1);
-    }
-    if (!async && rs.attempt > 0 && note)
+    });
+    if (!async && rs.attempt > 0 && armed_)
         cancelled(rs.attempts.front(), rs.attempt);
+}
+
+void
+Worker::dropRequest(const os::Message &msg, const char *cause, bool note)
+{
+    // The request bytes were received, so they count toward rx traffic.
+    service_.stats().rxBytes += msg.bytes;
+    if (note) {
+        service_.noteOutcome(*this, trace::OutcomeKind::RequestCancelled,
+                             0, msg.endpoint, 0, msg.traceId, cause);
+    }
+}
+
+void
+Worker::endRequest()
+{
+    cancelTimer(rpcState_.deadline);
+    cancelTimer(rpcState_.hedge);
+    releaseHeldLocks();
+    cancelPending_ = false;
+    rpcState_.reset();
+    runner_.abort();
+    req_.active = false;
+    req_.sock = nullptr;
+    req_.degraded = false;
 }
 
 void
@@ -1304,29 +1279,25 @@ Worker::abortRequest()
     if (req_.active) {
         // The request dies with the process: settle its open
         // downstream calls so outcome conservation holds, and account
-        // the consumed request bytes.
+        // the consumed request bytes. Only an armed service notes the
+        // cancellation: an unarmed one stays bit-identical to the
+        // runtime before request lifecycles existed.
         settleOpenCalls(nullptr, "crash");
-        service_.stats().rxBytes += req_.msg.bytes;
-        if (service_.spec().resilience.any()) {
-            service_.noteOutcome(
-                *this, trace::OutcomeKind::RequestCancelled, 0,
-                req_.msg.endpoint, 0, req_.msg.traceId, "crash");
-        }
+        dropRequest(req_.msg, "crash", armed_);
     }
-    cancelRpcTimer();
-    cancelHedgeTimer();
-    releaseHeldLocks();
-    cancelPending_ = false;
-    rpcState_.reset();
-    runner_.abort();
-    req_.active = false;
-    req_.sock = nullptr;
-    req_.degraded = false;
+    endRequest();
 }
 
 void
 Worker::requestCancel(os::Socket &sock, std::uint64_t tag)
 {
+    os::Message victim;
+    if (sock.removeQueued(tag, victim)) {
+        // Still queued: release the inbound slot without running the
+        // handler.
+        dropRequest(victim, "cancelled_in_queue");
+        return;
+    }
     if (!req_.active || cancelPending_ || req_.sock != &sock ||
         req_.msg.tag != tag) {
         return;  // already finished, or a duplicate cancel
@@ -1334,27 +1305,6 @@ Worker::requestCancel(os::Socket &sock, std::uint64_t tag)
     cancelPending_ = true;
     detachFromBlockers();
     service_.machine().scheduler().wake(this);
-}
-
-void
-Worker::finishCancelledRequest(os::StepCtx &ctx)
-{
-    cancelPending_ = false;
-    settleOpenCalls(&ctx, "upstream_cancel");
-    cancelRpcTimer();
-    cancelHedgeTimer();
-    releaseHeldLocks();
-    rpcState_.reset();
-    runner_.abort();
-    // No response: the caller has already given up. The request
-    // bytes were consumed, so they count toward rx traffic.
-    service_.stats().rxBytes += req_.msg.bytes;
-    service_.noteOutcome(*this, trace::OutcomeKind::RequestCancelled,
-                         0, req_.msg.endpoint, 0, req_.msg.traceId,
-                         "upstream_cancel");
-    req_.active = false;
-    req_.sock = nullptr;
-    req_.degraded = false;
 }
 
 std::size_t
@@ -1408,8 +1358,6 @@ Worker::stepBackground(os::StepCtx &ctx)
         bgPhase_ = 0;
         if (background_ && !background_->empty())
             runner_.start(background_);
-        else
-            bgPhase_ = 0;
     }
     return {os::StopReason::Yield};
 }
@@ -1430,7 +1378,6 @@ Worker::fetchNextRequest(os::StepCtx &ctx, bool &blocked)
         os::Message msg;
         if (kernel.sysSocketRead(ctx, *this, *conns_[0], msg) ==
             os::SysResult::Ok) {
-            probeSyscall(SysKind::SocketRead, msg.bytes);
             beginRequest(ctx, conns_[0], std::move(msg));
             return true;
         }
@@ -1446,7 +1393,6 @@ Worker::fetchNextRequest(os::StepCtx &ctx, bool &blocked)
             os::Message msg;
             if (kernel.sysSocketTryRead(ctx, *this, *sock, msg) ==
                 os::SysResult::Ok) {
-                probeSyscall(SysKind::SocketRead, msg.bytes);
                 pollCursor_ = (pollCursor_ + i + 1) % conns_.size();
                 beginRequest(ctx, sock, std::move(msg));
                 return true;
@@ -1466,7 +1412,6 @@ Worker::fetchNextRequest(os::StepCtx &ctx, bool &blocked)
         os::Message msg;
         if (kernel.sysSocketTryRead(ctx, *this, *sock, msg) ==
             os::SysResult::Ok) {
-            probeSyscall(SysKind::SocketRead, msg.bytes);
             beginRequest(ctx, sock, std::move(msg));
             return true;
         }
@@ -1486,16 +1431,13 @@ void
 Worker::beginRequest(os::StepCtx &ctx, os::Socket *sock,
                      os::Message msg)
 {
+    probeSyscall(SysKind::SocketRead, msg.bytes);
     const ResilienceSpec &res = service_.spec().resilience;
     if (res.propagateDeadline && msg.deadline != 0 &&
         now(ctx) > msg.deadline) {
         // Dead on arrival: the caller's budget is spent, so a reply
         // could never be used. Drop without executing or responding.
-        service_.stats().rxBytes += msg.bytes;
-        service_.noteOutcome(*this,
-                             trace::OutcomeKind::RequestCancelled, 0,
-                             msg.endpoint, 0, msg.traceId,
-                             "expired_on_arrival");
+        dropRequest(msg, "expired_on_arrival");
         return;
     }
     if (OverloadController *ov = service_.overload()) {
@@ -1512,13 +1454,13 @@ Worker::beginRequest(os::StepCtx &ctx, os::Socket *sock,
             res.propagateDeadline ? msg.deadline : 0, msg.priority,
             outstanding);
         if (cause != nullptr) {
-            shedRequest(ctx, sock, std::move(msg), cause);
+            shedRequest(ctx, sock, msg, cause);
             return;
         }
     }
     const unsigned shedAt = res.shedQueueThreshold;
     if (shedAt > 0 && inboundQueueDepth() >= shedAt) {
-        shedRequest(ctx, sock, std::move(msg));
+        shedRequest(ctx, sock, msg);
         return;
     }
     req_.sock = sock;
@@ -1543,26 +1485,11 @@ Worker::finishRequest(os::StepCtx &ctx)
 {
     const EndpointSpec &ep =
         service_.spec().endpoints[req_.msg.endpoint];
-    sim::Rng &rng = service_.rng();
-    const std::uint32_t respBytes =
-        ep.responseBytesMin >= ep.responseBytesMax
-        ? ep.responseBytesMin
-        : static_cast<std::uint32_t>(
-              rng.uniformInt(
-                  static_cast<std::int64_t>(ep.responseBytesMin),
-                  static_cast<std::int64_t>(ep.responseBytesMax)));
-
-    os::Message resp;
-    resp.kind = os::MsgKind::Response;
-    resp.status =
-        req_.degraded ? os::MsgStatus::Error : os::MsgStatus::Ok;
-    resp.bytes = respBytes;
-    resp.endpoint = req_.msg.endpoint;
-    resp.tag = req_.msg.tag;
-    resp.traceId = req_.msg.traceId;
-    resp.sendTime = req_.msg.sendTime;
-    probeSyscall(SysKind::SocketWrite, respBytes);
-    ctx.kernel.sysSocketWrite(ctx, *this, *req_.sock, std::move(resp));
+    const std::uint32_t respBytes = uniformIn(
+        service_.rng_, ep.responseBytesMin, ep.responseBytesMax);
+    respond(ctx, *req_.sock, req_.msg,
+            req_.degraded ? os::MsgStatus::Error : os::MsgStatus::Ok,
+            respBytes);
 
     const sim::Time end = now(ctx);
     ServiceStats &stats = service_.stats();
@@ -1586,31 +1513,37 @@ Worker::finishRequest(os::StepCtx &ctx)
                              0, req_.msg.endpoint, 0,
                              req_.msg.traceId);
     }
-    req_.active = false;
-    req_.sock = nullptr;
-    req_.degraded = false;
+    endRequest();
 }
 
 void
 Worker::shedRequest(os::StepCtx &ctx, os::Socket *sock,
-                    os::Message msg, const char *cause)
+                    const os::Message &msg, const char *cause)
 {
     // Fail fast: a tiny rejection response, no handler execution.
-    os::Message resp;
-    resp.kind = os::MsgKind::Response;
-    resp.status = os::MsgStatus::Shed;
-    resp.bytes = 64;
-    resp.endpoint = msg.endpoint;
-    resp.tag = msg.tag;
-    resp.traceId = msg.traceId;
-    resp.sendTime = msg.sendTime;
-    probeSyscall(SysKind::SocketWrite, resp.bytes);
+    constexpr std::uint32_t kShedBytes = 64;
+    respond(ctx, *sock, msg, os::MsgStatus::Shed, kShedBytes);
     ServiceStats &stats = service_.stats();
     stats.rxBytes += msg.bytes;
-    stats.txBytes += resp.bytes;
+    stats.txBytes += kShedBytes;
     service_.noteOutcome(*this, trace::OutcomeKind::RequestShed, 0,
                          msg.endpoint, 0, msg.traceId, cause);
-    ctx.kernel.sysSocketWrite(ctx, *this, *sock, std::move(resp));
+}
+
+void
+Worker::respond(os::StepCtx &ctx, os::Socket &sock, const os::Message &req,
+                os::MsgStatus status, std::uint32_t bytes)
+{
+    os::Message resp;
+    resp.kind = os::MsgKind::Response;
+    resp.status = status;
+    resp.bytes = bytes;
+    resp.endpoint = req.endpoint;
+    resp.tag = req.tag;
+    resp.traceId = req.traceId;
+    resp.sendTime = req.sendTime;
+    probeSyscall(SysKind::SocketWrite, bytes);
+    ctx.kernel.sysSocketWrite(ctx, *this, sock, std::move(resp));
 }
 
 os::StepResult
@@ -1621,7 +1554,10 @@ Worker::stepServer(os::StepCtx &ctx)
             return {os::StopReason::Block};
         if (req_.active) {
             if (cancelPending_) {
-                finishCancelledRequest(ctx);
+                // No response: the caller has already given up.
+                settleOpenCalls(&ctx, "upstream_cancel");
+                dropRequest(req_.msg, "upstream_cancel");
+                endRequest();
                 continue;
             }
             const ProgramRunner::Status st = runner_.run(ctx, *this);

@@ -21,6 +21,7 @@
 #include <deque>
 #include <map>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -259,6 +260,11 @@ class ProgramRunner
 class ServiceInstance
 {
   public:
+    /**
+     * @throws std::runtime_error naming the service, the endpoint or
+     *         background thread and the reference when an op names a
+     *         code block, downstream, file or lock `spec` lacks.
+     */
     ServiceInstance(const ServiceSpec &spec, os::Machine &machine,
                     os::Network &network, trace::Tracer *tracer,
                     std::uint64_t seed, unsigned replicaIndex = 0);
@@ -367,35 +373,7 @@ class ServiceInstance
     void setProbe(ServiceProbe *probe) { probe_ = probe; }
     ServiceProbe *probe() const { return probe_; }
 
-    // ---- runtime internals used by Worker --------------------------------
-
-    struct LockState
-    {
-        bool held = false;
-        os::WaitQueue *queue = nullptr;
-    };
-
-    LockState &lock(std::uint32_t ref) { return locks_[ref]; }
-    std::uint32_t fileId(std::uint32_t ref) const
-    {
-        return fileIds_[ref];
-    }
-    std::uint64_t fileSize(std::uint32_t ref) const;
-
-    /** Canonical (first) replica of downstream edge `idx`. */
-    ServiceInstance *downstream(std::uint32_t idx)
-    {
-        return downstreamGroups_[idx].empty()
-            ? nullptr
-            : downstreamGroups_[idx].front();
-    }
-
-    /** All replicas of downstream edge `idx`. */
-    const std::vector<ServiceInstance *> &
-    downstreamGroup(std::uint32_t idx) const
-    {
-        return downstreamGroups_[idx];
-    }
+    // ---- replica groups of the downstream edges -------------------------
 
     /**
      * Select the replica for one RPC attempt on edge `target` (see
@@ -435,12 +413,6 @@ class ServiceInstance
         edgeRegionPins_[target] = regionId;
     }
 
-    /** Balancer of downstream edge `target` (attempt accounting). */
-    cluster::EdgeBalancer &balancer(std::uint32_t target)
-    {
-        return balancers_[target];
-    }
-
     /**
      * A replica was added to downstream group `target` mid-run
      * (autoscaler scale-up): open one connection per worker and grow
@@ -459,12 +431,16 @@ class ServiceInstance
     /** Requests currently executing on this instance's workers. */
     std::size_t activeRequests() const;
 
-    std::uint64_t nextTag() { return nextTag_++; }
-
-    sim::Rng &rng() { return rng_; }
-
   private:
+    // The runtime's two halves reach into the instance directly.
+    friend class ProgramRunner;
     friend class Worker;
+
+    struct LockState
+    {
+        bool held = false;
+        os::WaitQueue *queue = nullptr;
+    };
 
     const ServiceSpec spec_;
     os::Machine &machine_;
@@ -498,15 +474,24 @@ class ServiceInstance
                         const Program *background, sim::Time period);
     void openDownstreamConns(Worker &w);
     os::Socket *connectTo(ServiceInstance &target);
-    /** Inbound MsgKind::Cancel delivery (Socket::onCancel hook). */
-    void handleCancel(Worker &w, os::Socket &sock,
-                      const os::Message &msg);
+    /**
+     * Whether replica `i` of edge `target` may take an attempt: it
+     * and its machine are up, inside the edge's region pin if any.
+     */
+    bool replicaUsable(std::uint32_t target, std::size_t i) const;
+    /** Whether replica `i` of edge `target` is in this region. */
+    bool replicaLocal(std::uint32_t target, std::size_t i) const;
 };
 
 /**
  * A service thread: epoll worker, per-connection handler, or
  * background timer thread; also the execution context handed to the
  * ProgramRunner.
+ *
+ * A request's life runs in four stages: admit (fetchNextRequest,
+ * beginRequest), execute (the ProgramRunner), call out (callOut, one
+ * Rpc op) and settle (finishRequest, shedRequest, or the cancel and
+ * crash paths; every started request tears down through endRequest).
  */
 class Worker : public os::Thread
 {
@@ -523,11 +508,6 @@ class Worker : public os::Thread
     /** Attach an inbound connection socket. */
     void addConnection(os::Socket *sock);
 
-    /** Connection socket to replica `replica` of RPC target `idx`. */
-    os::Socket *downConn(std::uint32_t idx, std::size_t replica)
-    {
-        return downConns_[idx][replica];
-    }
     void setDownConns(std::vector<std::vector<os::Socket *>> conns)
     {
         downConns_ = std::move(conns);
@@ -543,9 +523,40 @@ class Worker : public os::Thread
 
     // ---- hooks used by ProgramRunner -------------------------------------
     void probeSyscall(SysKind kind, std::uint64_t bytes);
-    void accountDiskRead(std::uint64_t bytes);
-    void accountDiskWrite(std::uint64_t bytes);
 
+    /**
+     * The call-out stage: run Rpc op `op`, resumable through the
+     * frame's `phase`, which is back at 0 once it returns Done.
+     */
+    ProgramRunner::Status callOut(os::StepCtx &ctx, const Op &op,
+                                  int &phase);
+
+    /** Abort the in-flight request (service crash). */
+    void abortRequest();
+
+    /**
+     * Cooperative cancellation of the request identified by (sock,
+     * tag). Still queued on `sock`, it is dropped unrun. Executing on
+     * this worker, it is marked cancel-pending, the worker leaves
+     * whatever wait list blocks it and is woken; it settles on its
+     * next slice (chasing in-flight downstream attempts with cancels).
+     */
+    void requestCancel(os::Socket &sock, std::uint64_t tag);
+
+    /** Messages queued on this worker's inbound connections. */
+    std::size_t inboundQueueDepth() const;
+
+    /** Whether a request is executing on this worker right now. */
+    bool requestActive() const { return req_.active; }
+
+    /** Lock-hold tracking so aborted requests can't strand a lock. */
+    void noteLockAcquired(std::uint32_t ref)
+    {
+        heldLocks_.push_back(ref);
+    }
+    void noteLockReleased(std::uint32_t ref);
+
+  private:
     struct CurrentRequest
     {
         os::Socket *sock = nullptr;
@@ -556,8 +567,6 @@ class Worker : public os::Thread
         /** A downstream call failed; respond with Error status. */
         bool degraded = false;
     };
-
-    CurrentRequest &currentRequest() { return req_; }
 
     /**
      * One downstream attempt: the sync call's primary or hedge, or one
@@ -575,6 +584,13 @@ class Worker : public os::Thread
         bool open = false;
     };
 
+    /** One-shot timer that wakes this worker when it fires. */
+    struct Timer
+    {
+        sim::EventId event = 0;  //!< pending event; 0 none
+        bool fired = false;      //!< fired and not yet consumed
+    };
+
     /**
      * Per-worker state of the in-flight Rpc op (one Rpc op runs at a
      * time per worker, so a single slot suffices): the call-level
@@ -583,14 +599,12 @@ class Worker : public os::Thread
     struct RpcState
     {
         unsigned attempt = 0;      //!< attempts made for the sync call
-        sim::EventId timer = 0;    //!< pending deadline/backoff event
-        bool timerFired = false;
+        Timer deadline;            //!< attempt deadline or backoff
         bool inBackoff = false;
         /** Absolute deadline forwarded with the sync call; 0 none. */
         sim::Time sendDeadline = 0;
         // ---- hedging -------------------------------------------------
-        sim::EventId hedgeTimer = 0;
-        bool hedgeFired = false;
+        Timer hedge;
         bool hedgeLaunched = false;  //!< sticky per call: one hedge max
         /**
          * Sync: {primary, hedge}, sized at the call's first send.
@@ -613,30 +627,59 @@ class Worker : public os::Thread
         }
     };
 
-    RpcState &rpcState() { return rpcState_; }
+    ServiceInstance &service_;
+    ThreadRole role_;
+    const Program *background_;
+    sim::Time period_;
+    /** ResilienceSpec::any() of the service, fixed at deploy. */
+    const bool armed_;
+    ProgramRunner runner_;
+    std::deque<os::Socket *> readyList_;
+    /** epoll_wait's result buffer, reused across calls. */
+    std::vector<os::Socket *> readyScratch_;
+    std::vector<os::Socket *> conns_;       //!< inbound connections
+    /** Outbound RPC conns, [target edge][replica]. */
+    std::vector<std::vector<os::Socket *>> downConns_;
+    os::Epoll *epoll_ = nullptr;
+    CurrentRequest req_;
+    RpcState rpcState_;
+    std::vector<std::uint32_t> heldLocks_;
+    bool started_ = false;
+    bool cancelPending_ = false;
+    int bgPhase_ = 0;
+    unsigned pollCursor_ = 0;
 
-    /** Arm the deadline/backoff timer `delay` from now. */
-    void armRpcTimer(const os::StepCtx &ctx, sim::Time delay);
-    void cancelRpcTimer();
+    os::StepResult stepServer(os::StepCtx &ctx);
+    os::StepResult stepBackground(os::StepCtx &ctx);
 
-    /** Arm / cancel the hedge-launch timer. */
-    void armHedgeTimer(const os::StepCtx &ctx, sim::Time delay);
-    void cancelHedgeTimer();
+    // ---- admit ------------------------------------------------------------
+    bool fetchNextRequest(os::StepCtx &ctx, bool &blocked);
+    void beginRequest(os::StepCtx &ctx, os::Socket *sock,
+                      os::Message msg);
 
-    /** Abort the in-flight request (service crash). */
-    void abortRequest();
+    // ---- call out: one Rpc op per client model, and its steps shared
+    // by both models and by the timeout, crash and cancel paths -----
+    ProgramRunner::Status callOutSync(os::StepCtx &ctx,
+                                      const std::vector<RpcCallSpec> &calls,
+                                      int &phase);
+    ProgramRunner::Status callOutAsync(os::StepCtx &ctx,
+                                       const std::vector<RpcCallSpec> &calls,
+                                       int &phase);
 
-    /**
-     * Cooperative cancellation of the request identified by (sock,
-     * tag) if it is the one this worker is executing. Marks the
-     * request cancel-pending, detaches the worker from whatever wait
-     * list blocks it, and wakes it; the worker settles on its next
-     * slice (chasing in-flight downstream attempts with cancels).
-     */
-    void requestCancel(os::Socket &sock, std::uint64_t tag);
+    /** Apply `fn` to every open attempt, in attempt order. */
+    template <typename Fn>
+    void
+    eachOpen(Fn &&fn)
+    {
+        for (Attempt &a : rpcState_.attempts) {
+            if (a.open)
+                fn(a);
+        }
+    }
 
-    // ---- per-attempt steps of the Rpc op, shared by both client
-    // models and by the timeout, crash and upstream-cancel paths -----
+    /** Arm `t` to fire `delay` from now; re-arming replaces it. */
+    void armTimer(Timer &t, const os::StepCtx &ctx, sim::Time delay);
+    void cancelTimer(Timer &t);
 
     /** End-to-end budget of downstream calls (absolute); 0 none. */
     sim::Time hopBudget() const;
@@ -686,6 +729,15 @@ class Worker : public os::Thread
     void abandonAttempt(os::StepCtx *ctx, Attempt &a);
 
     /**
+     * A call's deadline passed: abandon its open attempts `legs` (the
+     * first one names the call), count one breaker failure and, unless
+     * it is `retrying`, settle it as RpcTimeout with `attempts` and
+     * `cause`, degrading the response.
+     */
+    void timeOutCall(os::StepCtx &ctx, std::span<Attempt> legs,
+                     unsigned attempts, bool retrying, const char *cause);
+
+    /**
      * Settle a call answered through attempt `a`: breaker success,
      * outcome `kind` with `attempts`, and the reply's bytes/status.
      */
@@ -696,55 +748,34 @@ class Worker : public os::Thread
     void sendCancelMsg(os::StepCtx &ctx, os::Socket *conn,
                        std::uint64_t tag, std::uint64_t traceId);
 
-    /** Messages queued on this worker's inbound connections. */
-    std::size_t inboundQueueDepth() const;
-
-    /** Whether a request is executing on this worker right now. */
-    bool requestActive() const { return req_.active; }
-
-    /** Lock-hold tracking so aborted requests can't strand a lock. */
-    void noteLockAcquired(std::uint32_t ref)
-    {
-        heldLocks_.push_back(ref);
-    }
-    void noteLockReleased(std::uint32_t ref);
-
-  private:
-    ServiceInstance &service_;
-    ThreadRole role_;
-    const Program *background_;
-    sim::Time period_;
-    ProgramRunner runner_;
-    std::deque<os::Socket *> readyList_;
-    /** epoll_wait's result buffer, reused across calls. */
-    std::vector<os::Socket *> readyScratch_;
-    std::vector<os::Socket *> conns_;       //!< inbound connections
-    /** Outbound RPC conns, [target edge][replica]. */
-    std::vector<std::vector<os::Socket *>> downConns_;
-    os::Epoll *epoll_ = nullptr;
-    CurrentRequest req_;
-    RpcState rpcState_;
-    std::vector<std::uint32_t> heldLocks_;
-    bool started_ = false;
-    bool cancelPending_ = false;
-    int bgPhase_ = 0;
-    unsigned pollCursor_ = 0;
-
-    os::StepResult stepServer(os::StepCtx &ctx);
-    os::StepResult stepBackground(os::StepCtx &ctx);
-    bool fetchNextRequest(os::StepCtx &ctx, bool &blocked);
-    void beginRequest(os::StepCtx &ctx, os::Socket *sock,
-                      os::Message msg);
+    // ---- settle ------------------------------------------------------------
     void finishRequest(os::StepCtx &ctx);
     void shedRequest(os::StepCtx &ctx, os::Socket *sock,
-                     os::Message msg, const char *cause = "");
-    void finishCancelledRequest(os::StepCtx &ctx);
+                     const os::Message &msg, const char *cause = "");
+    /** Write the response to `req` down `sock`. */
+    void respond(os::StepCtx &ctx, os::Socket &sock,
+                 const os::Message &req, os::MsgStatus status,
+                 std::uint32_t bytes);
+    /**
+     * Drop inbound request `msg` without running (the rest of) its
+     * handler: count its received bytes and, when `note`, settle it as
+     * RequestCancelled with `cause`.
+     */
+    void dropRequest(const os::Message &msg, const char *cause,
+                     bool note = true);
     /**
      * Settle every unsettled downstream call of the current request
      * as RpcCancelled, abandoning its open attempts (see
      * abandonAttempt for `ctx`).
      */
     void settleOpenCalls(os::StepCtx *ctx, const char *cause);
+    /**
+     * The teardown every started request ends with, answered,
+     * cancelled or crashed: cancel both timers, release held locks,
+     * reset the call-out state and the interpreter, mark the worker
+     * idle.
+     */
+    void endRequest();
     void detachFromBlockers();
     void releaseHeldLocks();
 };

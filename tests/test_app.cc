@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include "app/deployment.h"
+#include "core/spec_io.h"
 #include "hw/block_builder.h"
 #include "hw/platform.h"
 #include "workload/loadgen.h"
@@ -358,6 +359,90 @@ TEST(ServiceRuntime, RpcTracingRecordsSpansAndEdges)
             sawEdge = true;
     }
     EXPECT_TRUE(sawEdge);
+}
+
+
+// ---------------------------------------------------------------------------
+// Deploy-time reference checks
+// ---------------------------------------------------------------------------
+
+/** Deploying `spec` on `h` throws, naming every one of `parts`. */
+void
+expectDeployRejects(Harness &h, const ServiceSpec &spec,
+                    std::initializer_list<const char *> parts)
+{
+    try {
+        h.dep.deploy(spec, h.machine);
+        ADD_FAILURE() << "deploy accepted a bad reference";
+    } catch (const std::runtime_error &e) {
+        for (const char *part : parts) {
+            EXPECT_NE(std::string(e.what()).find(part),
+                      std::string::npos)
+                << e.what();
+        }
+    }
+}
+
+TEST(SpecRefs, BlockOutOfRangeRejectedAtDeploy)
+{
+    ServiceSpec spec = baseService("svc", app::ServerModel::IoMultiplex);
+    spec.endpoints[0].handler.ops.push_back(app::opCompute(3, 1));
+    Harness h;
+    expectDeployRejects(h, spec, {"'svc'", "endpoint 'op'", "block 3"});
+}
+
+TEST(SpecRefs, RpcTargetOutOfRangeRejectedAtDeploy)
+{
+    ServiceSpec spec = baseService("svc", app::ServerModel::IoMultiplex);
+    spec.endpoints[0].handler.ops.push_back(app::opRpc(7, 0, 64, 64));
+    Harness h;
+    expectDeployRejects(h, spec,
+                        {"'svc'", "endpoint 'op'", "downstream 7"});
+}
+
+TEST(SpecRefs, FileOutOfRangeInChoiceArmRejectedAtDeploy)
+{
+    ServiceSpec spec = baseService("svc", app::ServerModel::IoMultiplex);
+    app::BackgroundSpec bg;
+    bg.name = "flush";
+    bg.body.ops = {app::opChoice(
+        {0.5, 0.5}, {Program{}, Program{{app::opFileWrite(0, 64, 64)}}})};
+    spec.background.push_back(bg);
+    Harness h;
+    expectDeployRejects(h, spec,
+                        {"'svc'", "background 'flush'", "file 0"});
+}
+
+TEST(SpecRefs, LockOutOfRangeInCallRejectedAtDeploy)
+{
+    ServiceSpec spec = baseService("svc", app::ServerModel::IoMultiplex);
+    spec.locks = 1;
+    spec.endpoints[0].handler.ops.push_back(app::opCall(
+        "critical", Program{{app::opLock(1), app::opUnlock(1)}}));
+    Harness h;
+    expectDeployRejects(h, spec, {"'svc'", "endpoint 'op'", "lock 1"});
+}
+
+TEST(SpecRefs, ParsedSpecWithBadTargetRejectedAtDeploy)
+{
+    // The text format carries any target index, so a spec file can
+    // name a downstream the service does not declare. Deploy rejects
+    // it, and leaves the deployment usable.
+    ServiceSpec spec = baseService("svc", app::ServerModel::IoMultiplex);
+    spec.endpoints[0].handler.ops.push_back(app::opRpc(7, 0, 64, 64));
+    const std::vector<ServiceSpec> parsed =
+        core::specsFromString(core::specToString(spec));
+    ASSERT_EQ(parsed.size(), 1u);
+    Harness h;
+    expectDeployRejects(h, parsed[0],
+                        {"'svc'", "endpoint 'op'", "downstream 7"});
+    app::ServiceInstance &ok = h.dep.deploy(
+        baseService("svc", app::ServerModel::IoMultiplex), h.machine);
+    h.dep.wireAll();
+    workload::LoadGen gen = h.drive(ok, 1000, 2);
+    gen.start();
+    h.dep.runFor(sim::milliseconds(20));
+    EXPECT_GT(gen.completedOk(), 0u);
 }
 
 } // namespace

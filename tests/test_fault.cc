@@ -1401,4 +1401,127 @@ TEST(CallOutPinned, ArmedSyncOverAsyncMatchesReference)
     EXPECT_EQ(got, expected) << "observed:\n" << formatCounters(got);
 }
 
+
+// ---------------------------------------------------------------------------
+// The crash path's outcome gate
+// ---------------------------------------------------------------------------
+
+/**
+ * A frontend whose requests sit parked in their call to a saturated
+ * single-worker backend, then either crash (frontend process down
+ * 10-15 ms) or are cancelled by the client on timeout. Returns the
+ * frontend's cancellation books: stats, probe, and the tracer's
+ * outcomes by kind and cause.
+ */
+std::map<std::string, std::uint64_t>
+runCancelGate(const app::ResilienceSpec &res, bool crash)
+{
+    app::Deployment dep(17);
+    os::Machine &machine = dep.addMachine("n", hw::platformA());
+    app::ServiceSpec slow = backendSpec();
+    slow.threads.workers = 1;
+    slow.endpoints[0].handler.ops = {app::opCompute(0, 30000)};
+    dep.deploy(slow, machine);
+    app::ServiceInstance &front = dep.deploy(frontendSpec(res), machine);
+    dep.wireAll();
+    profile::ProbeCollector probe;
+    front.setProbe(&probe);
+
+    fault::FaultPlan plan;
+    if (crash) {
+        plan.serviceCrash("front", sim::milliseconds(10),
+                          sim::milliseconds(5));
+    }
+    fault::FaultInjector injector(dep);
+    injector.install(plan);
+
+    workload::LoadSpec load =
+        TwoTier::clientLoad(8000, sim::milliseconds(2));
+    load.cancelOnTimeout = !crash;
+    workload::LoadGen gen(dep, front, load, 23);
+    gen.start();
+    dep.runFor(sim::milliseconds(20));
+    gen.stop();
+    dep.runFor(sim::milliseconds(40));
+
+    using trace::OutcomeKind;
+    const app::ServiceStats &fs = front.stats();
+    std::map<std::string, std::uint64_t> got;
+    got["rxBytes"] = fs.rxBytes;
+    got["stats.request_cancelled"] = fs.requestsCancelled;
+    got["stats.rpc_cancelled"] = fs.rpcCancelled;
+    got["probe.request_cancelled"] =
+        probe.outcomeCount(OutcomeKind::RequestCancelled);
+    got["probe.rpc_cancelled"] =
+        probe.outcomeCount(OutcomeKind::RpcCancelled);
+    for (const trace::OutcomeEvent &e : dep.tracer().outcomes()) {
+        if (e.service == "front" &&
+            (e.kind == OutcomeKind::RequestCancelled ||
+             e.kind == OutcomeKind::RpcCancelled)) {
+            got[std::string("tracer.") + trace::outcomeKindName(e.kind) +
+                "." + e.cause] += 1;
+        }
+    }
+    return got;
+}
+
+TEST(CancelGate, UnarmedCrashNotesNoCancellation)
+{
+    // An unarmed service stays bit-identical to the runtime before
+    // request lifecycles: a crash still counts the bytes of the
+    // requests it kills, but notes no cancellation in any book. The
+    // armed run below has the same timing (arming only cancellation
+    // sends nothing on a crash), so the crash provably hit requests.
+    const auto unarmed = runCancelGate(app::ResilienceSpec{}, true);
+    app::ResilienceSpec armedRes;
+    armedRes.cancellation = true;
+    const auto armed = runCancelGate(armedRes, true);
+    ASSERT_GT(armed.at("stats.request_cancelled"), 0u);
+    EXPECT_EQ(unarmed.at("rxBytes"), armed.at("rxBytes"));
+    const std::map<std::string, std::uint64_t> none = {
+        {"rxBytes", unarmed.at("rxBytes")},
+        {"stats.request_cancelled", 0},
+        {"stats.rpc_cancelled", 0},
+        {"probe.request_cancelled", 0},
+        {"probe.rpc_cancelled", 0},
+    };
+    EXPECT_EQ(unarmed, none);
+}
+
+TEST(CancelGate, UnarmedUpstreamCancelNotesRequestCancelled)
+{
+    // Receiving a cancel is always honored, so the same unarmed
+    // service notes the requests its client cancels, in every book:
+    // mostly mid-call, a few still queued. Its calls settle silently:
+    // an unarmed service counts no call outcomes, so none can be
+    // cancelled either.
+    const auto got = runCancelGate(app::ResilienceSpec{}, false);
+    const std::uint64_t n = got.at("stats.request_cancelled");
+    EXPECT_GT(got.at("tracer.request_cancelled.upstream_cancel"), 0u);
+    EXPECT_EQ(got.at("probe.request_cancelled"), n);
+    EXPECT_EQ(got.at("tracer.request_cancelled.upstream_cancel") +
+                  got.at("tracer.request_cancelled.cancelled_in_queue"),
+              n);
+    EXPECT_EQ(got.at("stats.rpc_cancelled"), 0u);
+    EXPECT_EQ(got.at("probe.rpc_cancelled"), 0u);
+    EXPECT_EQ(got.count("tracer.rpc_cancelled.upstream_cancel"), 0u);
+}
+
+TEST(CancelGate, ArmedCrashNotesCrashCancellations)
+{
+    // An armed service settles the crashed requests and their open
+    // calls as cancelled with cause "crash", identically in all books.
+    app::ResilienceSpec res;
+    res.cancellation = true;
+    const auto got = runCancelGate(res, true);
+    const std::uint64_t requests = got.at("stats.request_cancelled");
+    const std::uint64_t calls = got.at("stats.rpc_cancelled");
+    EXPECT_GT(requests, 0u);
+    EXPECT_GT(calls, 0u);
+    EXPECT_EQ(got.at("probe.request_cancelled"), requests);
+    EXPECT_EQ(got.at("probe.rpc_cancelled"), calls);
+    EXPECT_EQ(got.at("tracer.request_cancelled.crash"), requests);
+    EXPECT_EQ(got.at("tracer.rpc_cancelled.crash"), calls);
+}
+
 } // namespace
