@@ -181,6 +181,30 @@ BM_CacheAccess(benchmark::State &state)
 BENCHMARK(BM_CacheAccess)->Arg(32 << 10)->Arg(1 << 20)->Arg(30 << 20);
 
 static void
+BM_CacheStream(benchmark::State &state)
+{
+    // A data stream of stride range(0) lines through a Platform A
+    // core's hierarchy with the prefetcher on: after two accesses
+    // every access confirms the stream and runs a prefetch round, and
+    // the stream never revisits a line, so the caches stay full and
+    // every round evicts.
+    const hw::PlatformSpec spec = hw::platformA();
+    hw::Cache llc(spec.llcBytes, spec.llcWays);
+    hw::CacheHierarchy caches(spec.l1iBytes, spec.l1iWays, spec.l1dBytes,
+                              spec.l1dWays, spec.l2Bytes, spec.l2Ways,
+                              &llc, true);
+    const auto step = static_cast<std::uint64_t>(state.range(0)) * 64;
+    std::uint64_t addr = 0;
+    for (auto _ : state) {
+        benchmark::DoNotOptimize(caches.accessData(addr, false));
+        addr += step;
+    }
+    state.SetItemsProcessed(state.iterations());
+    state.SetLabel("stride=" + std::to_string(state.range(0)));
+}
+BENCHMARK(BM_CacheStream)->Arg(1)->Arg(8);
+
+static void
 BM_CachePollute(benchmark::State &state)
 {
     // Context-switch pollution of a 1 MB 16-way L2 filled to

@@ -1,7 +1,6 @@
 #include "app/service.h"
 
 #include <algorithm>
-#include <cassert>
 #include <stdexcept>
 
 namespace ditto::app {
@@ -586,6 +585,27 @@ ServiceInstance::activeRequests() const
 os::Socket *
 ServiceInstance::openConnection()
 {
+    // A connection only carries requests, and a request runs one of
+    // the spec's endpoints on a request worker: refuse a connection
+    // that could never be served rather than fail on its first
+    // request. A service with neither still deploys and runs its
+    // background threads.
+    if (spec_.endpoints.empty()) {
+        throw std::runtime_error(
+            "connect: service '" + spec_.name + "' declares no endpoints");
+    }
+    std::vector<Worker *> pool;
+    if (!spec_.threads.threadPerConnection) {
+        for (Worker *worker : workers_) {
+            if (worker->role() == ThreadRole::Worker)
+                pool.push_back(worker);
+        }
+        if (pool.empty()) {
+            throw std::runtime_error(
+                "connect: service '" + spec_.name +
+                "' has no request workers");
+        }
+    }
     os::Socket *sock = machine_.createSocket();
     sock->inboundGate = [this] { return !down_; };
     Worker *w = nullptr;
@@ -595,14 +615,7 @@ ServiceInstance::openConnection()
             spec_.name + ".conn" + std::to_string(nextWorkerForConn_++),
             nullptr, 0);
     } else {
-        // Round-robin over the long-lived pool (skip background
-        // threads).
-        std::vector<Worker *> pool;
-        for (Worker *worker : workers_) {
-            if (worker->role() == ThreadRole::Worker)
-                pool.push_back(worker);
-        }
-        assert(!pool.empty() && "service has no request workers");
+        // Round-robin over the long-lived pool.
         w = pool[nextWorkerForConn_++ % pool.size()];
     }
     w->addConnection(sock);

@@ -1,6 +1,5 @@
 #include "hw/cache.h"
 
-#include <algorithm>
 #include <bit>
 #include <stdexcept>
 #include <string>
@@ -62,7 +61,7 @@ Cache::Cache(const Cache &other)
           sets_ * ways_)),
       valid_(other.valid_), prefetched_(other.prefetched_),
       lastAccess_(other.lastAccess_), tick_(other.tick_),
-      stats_(other.stats_)
+      removals_(other.removals_), stats_(other.stats_)
 {
     // Only valid lines have a tag and stamp to copy.
     for (std::size_t word = 0; word < valid_.size(); ++word) {
@@ -126,6 +125,7 @@ Cache::allocate(const Slot &slot, bool prefetch)
                 i = w;
         }
         ++stats_.evictions;
+        ++removals_;
     }
     tags_[i] = slot.tag;
     stamps_[i] = tick_;
@@ -217,6 +217,7 @@ Cache::invalidate(std::uint64_t addr)
         return false;
     valid_[i / 64] &= ~(std::uint64_t{1} << (i % 64));
     ++stats_.invalidations;
+    ++removals_;
     return true;
 }
 
@@ -240,6 +241,7 @@ Cache::invalidateFraction(double fraction, std::uint64_t salt)
             if ((h & 0xffffffffull) < threshold) {
                 drop |= m & -m;
                 ++stats_.invalidations;
+                ++removals_;
             }
         }
         valid_[word] &= ~drop;
@@ -249,68 +251,67 @@ Cache::invalidateFraction(double fraction, std::uint64_t salt)
 void
 Cache::flush()
 {
-    std::fill(valid_.begin(), valid_.end(), 0);
+    for (std::uint64_t &word : valid_) {
+        removals_ += static_cast<unsigned>(std::popcount(word));
+        word = 0;
+    }
 }
 
 StreamPrefetcher::StreamPrefetcher(unsigned tableSize, unsigned degree)
-    : table_(tableSize), degree_(degree)
+    : lastLines_(tableSize, kFree), table_(tableSize), degree_(degree)
 {
 }
 
-void
-StreamPrefetcher::observe(std::uint64_t lineAddr,
-                          std::vector<std::uint64_t> &out)
+StreamPrefetcher::Round
+StreamPrefetcher::observe(std::uint64_t lineAddr)
 {
-    out.clear();
     ++tick_;
-    // Match an existing stream; remember the LRU slot for allocation.
-    StreamEntry *lruEntry = &table_[0];
-    for (StreamEntry &e : table_) {
-        if (!lruEntry->valid) {
-            // keep current lruEntry (free slot wins)
-        } else if (!e.valid || e.lastUse < lruEntry->lastUse) {
-            lruEntry = &e;
-        }
-        if (!e.valid)
-            continue;
-        const std::int64_t delta = static_cast<std::int64_t>(lineAddr) -
-            static_cast<std::int64_t>(e.lastLine);
-        if (delta != 0 && delta == e.stride) {
-            // Confirmed stream: issue prefetches.
-            if (++e.confidence >= 2) {
-                for (unsigned d = 1; d <= degree_; ++d) {
-                    out.push_back(static_cast<std::uint64_t>(
-                        static_cast<std::int64_t>(lineAddr) +
-                        e.stride * static_cast<std::int64_t>(d)));
-                }
-            }
-            e.lastLine = lineAddr;
-            e.lastUse = tick_;
-            return;
-        }
-        if (delta != 0 && delta >= -8 && delta <= 8) {
-            // Train a new stride on this entry.
-            e.stride = delta;
-            e.confidence = 1;
-            e.lastLine = lineAddr;
-            e.lastUse = tick_;
-            return;
-        }
+    // One range test per entry finds the stream that acts: within
+    // reach means 0 < |lineAddr - last| <= kReach, which a free
+    // entry's kFree never is. A confirming delta equals a trained
+    // stride and so is in reach too.
+    constexpr auto reach = static_cast<std::uint64_t>(kReach);
+    const std::size_t n = lastLines_.size();
+    std::size_t i = 0;
+    while (i < n) {
+        const std::uint64_t shifted = lineAddr - lastLines_[i] + reach;
+        if (shifted <= 2 * reach && shifted != reach)
+            break;
+        ++i;
     }
-    // Allocate a fresh stream on the LRU entry.
-    lruEntry->valid = true;
-    lruEntry->lastLine = lineAddr;
-    lruEntry->stride = 0;
-    lruEntry->confidence = 0;
-    lruEntry->lastUse = tick_;
+    if (i == n) {
+        // A new stream on the first free entry, else the least
+        // recently used one.
+        std::size_t victim = 0;
+        for (std::size_t j = 0; j < n; ++j) {
+            if (lastLines_[j] == kFree) {
+                victim = j;
+                break;
+            }
+            if (table_[j].lastUse < table_[victim].lastUse)
+                victim = j;
+        }
+        lastLines_[victim] = lineAddr;
+        table_[victim] = {0, tick_, kUnsettled};
+        return {};
+    }
+    StreamEntry &e = table_[i];
+    const auto delta = static_cast<std::int64_t>(lineAddr - lastLines_[i]);
+    lastLines_[i] = lineAddr;
+    e.lastUse = tick_;
+    if (delta != e.stride) {
+        e.stride = delta;
+        e.settledAt = kUnsettled;
+        return {};
+    }
+    confirmed_ = i;
+    return {lineAddr, e.stride, degree_, e.settledAt};
 }
 
 void
-StreamPrefetcher::reset()
+StreamPrefetcher::settle(std::uint64_t stamp)
 {
-    for (StreamEntry &e : table_)
-        e.valid = false;
-    tick_ = 0;
+    table_[confirmed_].settledAt = stamp;
 }
 
 CacheHierarchy::CacheHierarchy(std::uint64_t l1iBytes, unsigned l1iWays,
@@ -321,6 +322,10 @@ CacheHierarchy::CacheHierarchy(std::uint64_t l1iBytes, unsigned l1iWays,
       l2_(l2Bytes, l2Ways), llc_(sharedLlc),
       prefetchEnabled_(prefetchEnabled)
 {
+    // A round's lines span (degree - 1) strides of at most kReach.
+    const std::uint64_t span = std::uint64_t{prefetcher_.degree() - 1} *
+        StreamPrefetcher::kReach;
+    settleRounds_ = l1d_.sets() > span && l2_.sets() > span;
 }
 
 CacheLevel
@@ -347,13 +352,24 @@ CacheHierarchy::accessData(std::uint64_t addr, bool isWrite)
     }
 
     if (prefetchEnabled_) {
-        prefetcher_.observe(addr / kLineBytes, prefetchScratch_);
-        for (std::uint64_t line : prefetchScratch_) {
-            const std::uint64_t pfAddr = line * kLineBytes;
+        const StreamPrefetcher::Round round =
+            prefetcher_.observe(addr / kLineBytes);
+        if (round.count == 0)
+            return level;
+        // The stream's previous round left lines 1..count-1 of this
+        // one present in L2 and L1d (settleRounds_: none of its fills
+        // evicted another), and an unchanged removal count means none
+        // has left since, so probing them again would change nothing.
+        const unsigned first =
+            round.settledAt == removals() ? round.count : 1;
+        for (unsigned d = first; d <= round.count; ++d) {
+            const std::uint64_t pfAddr = round.line(d) * kLineBytes;
             if (l2_.fillIfAbsent(pfAddr, true) && llc_)
                 llc_->fillIfAbsent(pfAddr, true);
             l1d_.fillIfAbsent(pfAddr, true);
         }
+        if (settleRounds_)
+            prefetcher_.settle(removals());
     }
     return level;
 }

@@ -148,6 +148,12 @@ class Cache
     /** Line the last missing access() allocated. */
     std::size_t lastAccess_ = 0;
     std::uint64_t tick_ = 0;
+    /**
+     * Lines that have left this cache: evictions, invalidations and
+     * flushed lines. Never reset, so an unchanged count means every
+     * line present when it was read is present still.
+     */
+    std::uint64_t removals_ = 0;
     CacheStats stats_;
 
     Slot slotOf(std::uint64_t addr) const;
@@ -193,32 +199,76 @@ struct MemLatency
  * detect consecutive/strided line sequences). Tracks a small table of
  * active streams; on a detected stream it prefetches `degree` lines
  * ahead into L2 and L1d.
+ *
+ * A demand access acts on the first stream whose last line lies
+ * within kReach lines of it, either way, but not on it: the same
+ * stride again confirms the stream and asks for a round of
+ * prefetches, another distance trains that stride. An access no
+ * stream is that close to takes the least recently used entry (a
+ * free one first) as a new, untrained stream.
  */
 class StreamPrefetcher
 {
   public:
+    /** Farthest a stream's stride reaches, in lines, either way. */
+    static constexpr std::int64_t kReach = 8;
+
+    /** settledAt of a stream its owner has not settled since training. */
+    static constexpr std::uint64_t kUnsettled = ~std::uint64_t{0};
+
+    /** The prefetches a confirmed stream asks for; count 0 if none. */
+    struct Round
+    {
+        /** The confirming demand access's line. */
+        std::uint64_t lineAddr = 0;
+        std::int64_t stride = 0;
+        /** Lines lineAddr + d * stride for d in 1..count. */
+        unsigned count = 0;
+        /** What settle() recorded after the stream's previous round. */
+        std::uint64_t settledAt = kUnsettled;
+
+        std::uint64_t
+        line(unsigned d) const
+        {
+            return lineAddr + static_cast<std::uint64_t>(stride) * d;
+        }
+    };
+
     StreamPrefetcher(unsigned tableSize = 16, unsigned degree = 4);
 
     /**
-     * Observe a demand access; returns line addresses to prefetch
-     * (possibly empty). `out` is cleared first.
+     * Observe a demand access to line `lineAddr` (a byte address over
+     * 64, so below 2^58).
      */
-    void observe(std::uint64_t lineAddr,
-                 std::vector<std::uint64_t> &out);
+    Round observe(std::uint64_t lineAddr);
 
-    void reset();
+    /**
+     * Record `stamp` on the stream the last observe() confirmed; the
+     * next Round it confirms reports it as settledAt, unless the
+     * stream trains or is reallocated first. Call it right after that
+     * round's prefetches, before the next observe().
+     */
+    void settle(std::uint64_t stamp);
+
+    unsigned degree() const { return degree_; }
 
   private:
+    /** lastLines_ entry of a free table slot; no line is within reach. */
+    static constexpr std::uint64_t kFree = std::uint64_t{1} << 63;
+
     struct StreamEntry
     {
-        std::uint64_t lastLine = 0;
+        /** 0 until trained, then within [-kReach, kReach]. */
         std::int64_t stride = 0;
-        unsigned confidence = 0;
         std::uint64_t lastUse = 0;
-        bool valid = false;
+        std::uint64_t settledAt = kUnsettled;
     };
 
+    /** Each entry's last line, kFree if free: one scan matches them. */
+    std::vector<std::uint64_t> lastLines_;
     std::vector<StreamEntry> table_;
+    /** The entry the last confirming observe() matched. */
+    std::size_t confirmed_ = 0;
     unsigned degree_;
     std::uint64_t tick_ = 0;
 };
@@ -267,7 +317,19 @@ class CacheHierarchy
     Cache *llc_;
     StreamPrefetcher prefetcher_;
     bool prefetchEnabled_;
-    std::vector<std::uint64_t> prefetchScratch_;
+    /**
+     * Whether L1d and L2 each have more sets than a round's lines
+     * span, so that no fill of a round can evict another of its
+     * lines; only then does a round settle its stream.
+     */
+    bool settleRounds_ = false;
+
+    /** Lines that have left L1d or L2, the prefetches' targets. */
+    std::uint64_t
+    removals() const
+    {
+        return l1d_.removals_ + l2_.removals_;
+    }
 };
 
 } // namespace ditto::hw

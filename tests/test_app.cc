@@ -445,4 +445,69 @@ TEST(SpecRefs, ParsedSpecWithBadTargetRejectedAtDeploy)
     EXPECT_GT(gen.completedOk(), 0u);
 }
 
+/** `connect` throws, naming every one of `parts`. */
+template <typename Connect>
+void
+expectConnectRejects(Connect connect,
+                     std::initializer_list<const char *> parts)
+{
+    try {
+        connect();
+        ADD_FAILURE() << "a connection to an unservable service opened";
+    } catch (const std::runtime_error &e) {
+        for (const char *part : parts) {
+            EXPECT_NE(std::string(e.what()).find(part),
+                      std::string::npos)
+                << e.what();
+        }
+    }
+}
+
+TEST(SpecRefs, NoEndpointsRejectedAtConnect)
+{
+    // A request runs one of the spec's endpoints; with none, the
+    // first request once indexed past the empty endpoint list.
+    for (app::ServerModel model : {app::ServerModel::IoMultiplex,
+                                   app::ServerModel::BlockingPerConn}) {
+        ServiceSpec spec = baseService("svc", model);
+        spec.endpoints.clear();
+        Harness h;
+        app::ServiceInstance &svc = h.dep.deploy(spec, h.machine);
+        h.dep.wireAll();
+        expectConnectRejects([&] { h.drive(svc, 1000, 2); },
+                             {"'svc'", "no endpoints"});
+    }
+}
+
+TEST(SpecRefs, EndpointlessDownstreamRejectedAtWire)
+{
+    Harness h;
+    ServiceSpec backend = baseService("b", app::ServerModel::IoMultiplex);
+    backend.endpoints.clear();
+    ServiceSpec frontend = baseService("f", app::ServerModel::IoMultiplex);
+    frontend.downstreams = {"b"};
+    h.dep.deploy(backend, h.machine);
+    h.dep.deploy(frontend, h.machine);
+    expectConnectRejects([&] { h.dep.wireAll(); },
+                         {"'b'", "no endpoints"});
+}
+
+TEST(SpecRefs, BackgroundOnlyServiceDeploysAndRuns)
+{
+    // No endpoints and no connections: its background thread still
+    // runs.
+    Harness h;
+    ServiceSpec spec = baseService("bg", app::ServerModel::IoMultiplex);
+    spec.endpoints.clear();
+    app::BackgroundSpec bg;
+    bg.name = "ticker";
+    bg.period = sim::milliseconds(10);
+    bg.body.ops = {app::opCompute(0, 50)};
+    spec.background.push_back(bg);
+    app::ServiceInstance &svc = h.dep.deploy(spec, h.machine);
+    h.dep.wireAll();
+    h.dep.runFor(sim::milliseconds(200));
+    EXPECT_GT(svc.stats().exec.instructions, 15 * 50 * 64);
+}
+
 } // namespace

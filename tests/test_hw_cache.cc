@@ -287,25 +287,61 @@ TEST(CacheHierarchy, CoherenceInvalidationForcesMiss)
 TEST(StreamPrefetcher, DetectsSequentialStream)
 {
     StreamPrefetcher pf(8, 4);
-    std::vector<std::uint64_t> out;
-    pf.observe(100, out);
-    EXPECT_TRUE(out.empty());
-    pf.observe(101, out);  // trains stride +1
-    pf.observe(102, out);  // confirms -> prefetches
-    EXPECT_EQ(out.size(), 4u);
-    EXPECT_EQ(out[0], 103u);
-    EXPECT_EQ(out[3], 106u);
+    EXPECT_EQ(pf.observe(100).count, 0u);
+    EXPECT_EQ(pf.observe(101).count, 0u);  // trains stride +1
+    const StreamPrefetcher::Round round = pf.observe(102);  // confirms
+    EXPECT_EQ(round.count, 4u);
+    EXPECT_EQ(round.line(1), 103u);
+    EXPECT_EQ(round.line(4), 106u);
+}
+
+TEST(StreamPrefetcher, DetectsNegativeStride)
+{
+    StreamPrefetcher pf(8, 4);
+    pf.observe(1000);
+    pf.observe(992);  // trains stride -8, the farthest reach
+    const StreamPrefetcher::Round round = pf.observe(984);
+    EXPECT_EQ(round.count, 4u);
+    EXPECT_EQ(round.line(1), 976u);
+    EXPECT_EQ(round.line(4), 952u);
+    // Nine lines on is out of reach: a new stream, not a confirm.
+    EXPECT_EQ(pf.observe(975).count, 0u);
 }
 
 TEST(StreamPrefetcher, IgnoresRandomAccesses)
 {
     StreamPrefetcher pf(8, 4);
-    std::vector<std::uint64_t> out;
     std::uint64_t addrs[] = {5, 900, 77, 12345, 42, 60000, 3, 777};
-    for (std::uint64_t a : addrs) {
-        pf.observe(a, out);
-        EXPECT_TRUE(out.empty()) << a;
-    }
+    for (std::uint64_t a : addrs)
+        EXPECT_EQ(pf.observe(a).count, 0u) << a;
+}
+
+TEST(StreamPrefetcher, SettleStampLastsUntilRetrained)
+{
+    StreamPrefetcher pf(8, 4);
+    pf.observe(100);
+    pf.observe(102);
+    EXPECT_EQ(pf.observe(104).settledAt, StreamPrefetcher::kUnsettled);
+    pf.settle(7);
+    EXPECT_EQ(pf.observe(106).settledAt, 7u);
+    pf.settle(9);
+    // Another stride retrains the stream and forgets the stamp.
+    pf.observe(107);
+    const StreamPrefetcher::Round round = pf.observe(108);
+    EXPECT_EQ(round.count, 4u);
+    EXPECT_EQ(round.settledAt, StreamPrefetcher::kUnsettled);
+}
+
+TEST(StreamPrefetcher, NewStreamTakesLeastRecentlyUsedEntry)
+{
+    StreamPrefetcher pf(2, 4);
+    pf.observe(100);
+    pf.observe(101);   // stream A trained at 101
+    pf.observe(5000);  // stream B, the second entry
+    pf.observe(5001);  // B trained; A is now least recently used
+    pf.observe(9000);  // replaces A
+    EXPECT_EQ(pf.observe(5002).count, 4u);  // B survived
+    EXPECT_EQ(pf.observe(102).count, 0u);   // A is gone: a new stream
 }
 
 TEST(CacheHierarchy, PrefetchHidesSequentialMisses)
@@ -332,12 +368,80 @@ TEST(CacheHierarchy, PrefetchHidesSequentialMisses)
 // ---------------------------------------------------------------------
 // Differential test. `ref` is the model the validity bitmap replaced:
 // a per-line valid flag, victim() and fill() each rescanning the set,
-// and probe()-then-fill() on the prefetch path. A seeded random script
-// drives it and the real model in lockstep; any change in victim
-// choice, tick order or counting shows up as a differing result,
-// counter, presence or LRU stamp.
+// and probe()-then-fill() of every line a confirmed stream asks for,
+// with a frozen copy of the stream table's ordered scan. A seeded
+// random script drives it and the real model in lockstep; any change
+// in victim choice, tick order, counting or prefetches issued shows up
+// as a differing result, counter, presence or LRU stamp.
 
 namespace ref {
+
+class StreamPrefetcher
+{
+  public:
+    StreamPrefetcher(unsigned tableSize = 16, unsigned degree = 4)
+        : table_(tableSize), degree_(degree)
+    {
+    }
+
+    void
+    observe(std::uint64_t lineAddr, std::vector<std::uint64_t> &out)
+    {
+        out.clear();
+        ++tick_;
+        StreamEntry *lruEntry = &table_[0];
+        for (StreamEntry &e : table_) {
+            if (!lruEntry->valid) {
+                // keep current lruEntry (free slot wins)
+            } else if (!e.valid || e.lastUse < lruEntry->lastUse) {
+                lruEntry = &e;
+            }
+            if (!e.valid)
+                continue;
+            const std::int64_t delta =
+                static_cast<std::int64_t>(lineAddr) -
+                static_cast<std::int64_t>(e.lastLine);
+            if (delta != 0 && delta == e.stride) {
+                if (++e.confidence >= 2) {
+                    for (unsigned d = 1; d <= degree_; ++d) {
+                        out.push_back(static_cast<std::uint64_t>(
+                            static_cast<std::int64_t>(lineAddr) +
+                            e.stride * static_cast<std::int64_t>(d)));
+                    }
+                }
+                e.lastLine = lineAddr;
+                e.lastUse = tick_;
+                return;
+            }
+            if (delta != 0 && delta >= -8 && delta <= 8) {
+                e.stride = delta;
+                e.confidence = 1;
+                e.lastLine = lineAddr;
+                e.lastUse = tick_;
+                return;
+            }
+        }
+        lruEntry->valid = true;
+        lruEntry->lastLine = lineAddr;
+        lruEntry->stride = 0;
+        lruEntry->confidence = 0;
+        lruEntry->lastUse = tick_;
+    }
+
+  private:
+    struct StreamEntry
+    {
+        std::uint64_t lastLine = 0;
+        std::int64_t stride = 0;
+        unsigned confidence = 0;
+        std::uint64_t lastUse = 0;
+        bool valid = false;
+    };
+
+    std::vector<StreamEntry> table_;
+    unsigned degree_;
+    std::uint64_t tick_ = 0;
+};
 
 class Cache
 {
@@ -784,6 +888,49 @@ INSTANTIATE_TEST_SUITE_P(
         return std::string(info.param.name);
     });
 
+/** The prefetcher's degree: lines a confirmed stream fills ahead. */
+constexpr unsigned kDegree = 4;
+
+/** Byte offset of `lines` lines at `stride`, modulo 2^64. */
+std::uint64_t
+lineStep(std::int64_t stride, unsigned lines)
+{
+    return static_cast<std::uint64_t>(stride) * lines * kLineBytes;
+}
+
+/** A stride of 1..8 lines either way, other than `other`. */
+std::int64_t
+randomStride(std::mt19937_64 &rng, std::int64_t other)
+{
+    for (;;) {
+        const auto stride = static_cast<std::int64_t>(1 + rng() % 8) *
+            ((rng() & 1) ? 1 : -1);
+        if (stride != other)
+            return stride;
+    }
+}
+
+/** One core's strided data run, resumed across script steps. */
+struct StridedRun
+{
+    std::uint64_t next = 0;  // line
+    std::int64_t stride = 0;
+    unsigned left = 0;
+};
+
+::testing::AssertionResult
+sameData(ref::CacheHierarchy &want, CacheHierarchy &got,
+         std::uint64_t addr)
+{
+    const CacheLevel a = want.accessData(addr, false);
+    const CacheLevel b = got.accessData(addr, false);
+    if (a == b)
+        return ::testing::AssertionSuccess();
+    return ::testing::AssertionFailure()
+        << "data access 0x" << std::hex << addr << std::dec << ": level "
+        << static_cast<int>(a) << "/" << static_cast<int>(b);
+}
+
 struct HierarchyShape
 {
     const char *name;
@@ -850,6 +997,7 @@ TEST_P(CacheHierarchyDifferential, MatchesReferenceModel)
             return ::testing::AssertionSuccess();
         };
 
+        std::vector<StridedRun> runs(shape.cores);
         std::uint64_t last = pool.pick(rng);
         for (int step = 0; step < 1200; ++step) {
             const unsigned c = static_cast<unsigned>(rng() % shape.cores);
@@ -867,16 +1015,98 @@ TEST_P(CacheHierarchyDifferential, MatchesReferenceModel)
                 ASSERT_EQ(w.accessInst(addr), g.accessInst(addr))
                     << "seed " << seed << " step " << step;
             } else if (op < 68) {
-                // A unit-stride run trains the stream prefetcher,
-                // which then fills up to four lines ahead.
-                const std::uint64_t base = addr / kLineBytes * kLineBytes;
-                for (std::uint64_t l = 0; l < 8 + 4; ++l)
-                    touched.add(base + l * kLineBytes);
-                for (std::uint64_t l = 0; l < 8; ++l) {
-                    const std::uint64_t a = base + l * kLineBytes;
-                    ASSERT_EQ(w.accessData(a, false),
-                              g.accessData(a, false))
+                // Resume this core's strided run, or start one: stride
+                // +-1..+-8 for degree + 4 to degree + 11 lines, so its
+                // stream confirms several rounds in a row.
+                StridedRun &run = runs[c];
+                if (run.left == 0) {
+                    // 2^24 lines up keeps the pool's sets and leaves
+                    // room below for a negative stride.
+                    run.next = pool.pick(rng) / kLineBytes + (1u << 24);
+                    run.stride = randomStride(rng, 0);
+                    run.left = kDegree + 4 + rng() % 8;
+                }
+                for (unsigned k = 1 + rng() % 6; k > 0 && run.left > 0;
+                     --k, --run.left) {
+                    const std::uint64_t a = run.next * kLineBytes;
+                    for (unsigned d = 0; d <= kDegree; ++d)
+                        touched.add(a + lineStep(run.stride, d));
+                    ASSERT_TRUE(sameData(w, g, a))
                         << "seed " << seed << " step " << step;
+                    if (rng() % 8 == 0) {
+                        // Change stride: the stream retrains.
+                        const std::int64_t old = run.stride;
+                        run.stride = randomStride(rng, old);
+                        run.next += static_cast<std::uint64_t>(
+                            run.stride - old);
+                    }
+                    run.next += static_cast<std::uint64_t>(run.stride);
+                    if (rng() % 4 != 0)
+                        continue;
+                    // Mid-run, a line the stream has prefetched past
+                    // the next one leaves L1d or L2, or lines elsewhere
+                    // do. The next confirm must probe again.
+                    const std::uint64_t t = run.next * kLineBytes +
+                        lineStep(run.stride, 1 + rng() % (kDegree - 1));
+                    switch (rng() % 4) {
+                      case 0:
+                        w.invalidateData(t);
+                        g.invalidateData(t);
+                        break;
+                      case 1: {
+                        const double fraction = pollutionFraction(rng);
+                        const std::uint64_t salt = rng();
+                        switch (rng() % 3) {
+                          case 0:
+                            w.pollute(fraction, salt);
+                            g.pollute(fraction, salt);
+                            break;
+                          case 1:
+                            w.l1d().invalidateFraction(fraction, salt);
+                            g.l1d().invalidateFraction(fraction, salt);
+                            break;
+                          default:
+                            w.l2().invalidateFraction(fraction, salt);
+                            g.l2().invalidateFraction(fraction, salt);
+                        }
+                        break;
+                      }
+                      case 2:
+                        if (rng() & 1) {
+                            w.l1d().flush();
+                            g.l1d().flush();
+                        } else {
+                            w.l2().flush();
+                            g.l2().flush();
+                        }
+                        break;
+                      default:
+                        // Evict it: data accesses crowding its L1d set,
+                        // or fetches crowding its L2 set.
+                        if (rng() & 1) {
+                            const std::uint64_t apart =
+                                g.l1d().sets() * kLineBytes;
+                            for (unsigned j = 1; j <= shape.l1dWays;
+                                 ++j) {
+                                touched.add(t + j * apart);
+                                ASSERT_TRUE(sameData(w, g, t + j * apart))
+                                    << "seed " << seed << " step " << step;
+                            }
+                        } else {
+                            const std::uint64_t apart =
+                                g.l2().sets() * kLineBytes;
+                            for (unsigned j = 1; j <= shape.l2Ways;
+                                 ++j) {
+                                touched.add(t + j * apart);
+                                ASSERT_EQ(w.accessInst(t + j * apart),
+                                          g.accessInst(t + j * apart))
+                                    << "seed " << seed << " step " << step;
+                            }
+                        }
+                    }
+                    ASSERT_TRUE(same())
+                        << "seed " << seed << " step " << step
+                        << " mid-run";
                 }
             } else if (op < 80) {
                 w.invalidateData(addr);
@@ -944,6 +1174,12 @@ INSTANTIATE_TEST_SUITE_P(
                            kPlatformALlcBytes, 8, 8, 16, 11, 2},
             HierarchyShape{"PlatformA", 32 << 10, 32 << 10, 1 << 20,
                            kPlatformALlcBytes, 8, 8, 16, 11, 1},
+            HierarchyShape{"PlatformA2Cores", 32 << 10, 32 << 10, 1 << 20,
+                           kPlatformALlcBytes, 8, 8, 16, 11, 2},
+            // An 8-set direct-mapped L2: a round's own fills can evict
+            // one another, so rounds must not settle their stream.
+            HierarchyShape{"NarrowL2", 32 << 10, 32 << 10, 8 * 64,
+                           kPlatformALlcBytes, 8, 8, 1, 11, 1},
             HierarchyShape{"NoLlc", 8 * 64, 16 * 64, 64 * 64, 0, 8, 8,
                            16, 0, 1}),
         ::testing::Bool()),
