@@ -5,137 +5,87 @@
  * cumulatively -- syscalls (B), instruction count (C), instruction
  * mix (D), branch behaviour (E), instruction memory (F), data memory
  * (G), data dependencies (H) -- and finally fine tuning (I). For each
- * step the clone is regenerated, redeployed, and measured: IPC,
- * instructions, cycles, p99 latency vs the original's targets.
+ * step the clone is measured: IPC, instructions, cycles, p99 latency
+ * vs the original's targets.
+ *
+ * Stages A-H regenerate the MongoDB clone that Figs. 5-8 evaluate
+ * from its profile and skeleton. The target and I rows are that
+ * clone's and its original's medium-load runs from Fig. 5, so only
+ * the eight stage runs are simulated here.
  */
 
 #include <functional>
 #include <iostream>
 
-#include "bench/bench_common.h"
+#include "bench/paper.h"
 
 using namespace ditto;
 using namespace ditto::bench;
 
-int
-main(int argc, char **argv)
+namespace {
+
+void
+addRow(stats::TablePrinter &table, const std::string &label,
+       const profile::PerfReport &r)
 {
-    BenchRuntime rt(argc, argv, "bench_fig9");
-    sim::RunExecutor &ex = rt.executor();
+    table.addRow({label, cell(r.ipc, 3),
+                  cell(r.instructionsPerRequest, 0),
+                  cell(r.cyclesPerRequest, 0), cell(r.p99LatencyMs, 3)});
+}
+
+} // namespace
+
+void
+bench::fig9(const PaperClones &clones, const MediumLoadRuns &medium,
+            sim::RunExecutor &ex)
+{
     const hw::PlatformSpec platform = hw::platformA();
-    const AppCase mongo{"MongoDB", apps::mongodbSpec(),
-                        apps::mongodbLoad()};
-    const workload::LoadSpec load =
-        mongo.load.at(mongo.load.mediumQps);
-
-    // ---- profile the original once at medium load ---------------------
-    std::cout << "Profiling MongoDB at medium load...\n";
-    app::Deployment dep(91);
-    os::Machine &machine = dep.addMachine("node", platform);
-    app::ServiceInstance &svc = dep.deploy(mongo.spec, machine);
-    dep.wireAll();
-    workload::LoadGen gen(dep, svc, load, 5);
-    gen.start();
-
-    core::CloneOptions opts;
-    opts.fineTune = false;
-    opts.profiling.warmup = sim::milliseconds(150);
-    opts.profiling.window = sim::milliseconds(120);
-    core::CloneResult base =
-        core::cloneService(dep, svc, load, platform, opts);
-
-    // ---- target + per-stage runs, fanned out in parallel ---------------
-    auto targetFuture = ex.submit([&mongo, &load, &platform] {
-        return runSingleTier(mongo.spec, load, platform);
-    });
-    const double reqs = 1.0;  // per-request metrics below
+    const std::size_t mongo = clones.indexOf("MongoDB");
+    const auto &[app, clone] = clones.apps[mongo];
+    const workload::LoadSpec cloneLoad =
+        core::cloneLoadSpec(app.load.at(app.load.mediumQps));
 
     stats::printBanner(
         std::cout,
         "Fig. 9: accuracy evolution for MongoDB as generator stages "
         "are enabled");
 
-    const std::map<std::string, std::string> nameMap = {
-        {"mongodb", "mongodb_clone"}};
-    const workload::LoadSpec cloneLoad = core::cloneLoadSpec(load);
-
-    const struct
-    {
-        char stage;
-        const char *label;
-    } stages[] = {
-        {'A', "A:Skeleton"}, {'B', "B:Syscall"}, {'C', "C:#insts"},
-        {'D', "D:Inst. mix"}, {'E', "E:Branch"}, {'F', "F:I-mem"},
-        {'G', "G:D-mem"}, {'H', "H:Data dep."},
+    // Each label starts with its GenerationConfig::stage letter.
+    const char *const stages[] = {
+        "A:Skeleton", "B:Syscall", "C:#insts", "D:Inst. mix",
+        "E:Branch",   "F:I-mem",   "G:D-mem",  "H:Data dep.",
     };
 
     // Each stage regenerates + measures its own clone in an
     // independent seeded deployment: fan them all out, join in
     // submission order.
     std::vector<std::function<RunResult()>> stageTasks;
-    for (const auto &[stage, label] : stages) {
-        const char st = stage;
-        stageTasks.push_back([st, &base, &nameMap, &cloneLoad,
+    for (const char *label : stages) {
+        stageTasks.push_back([st = label[0], &clone, &cloneLoad,
                               &platform] {
+            const std::string &name = clone.profile.serviceName;
             const app::ServiceSpec spec = core::generateClone(
-                base.profile, base.skeleton, {}, nameMap,
+                clone.profile, clone.skeleton, {},
+                {{name, name + "_clone"}},
                 core::GenerationConfig::stage(st));
             return runSingleTier(spec, cloneLoad, platform);
         });
     }
     const std::vector<RunResult> stageRuns =
         ex.runOrdered<RunResult>(std::move(stageTasks));
-    const RunResult target = ex.collect(std::move(targetFuture));
 
     stats::TablePrinter table(
         {"stage", "IPC", "insts/req", "cycles/req", "p99 (ms)"});
-    table.addRow({"target (actual)", cell(target.report.ipc, 3),
-                  cell(target.report.instructionsPerRequest / reqs, 0),
-                  cell(target.report.cyclesPerRequest, 0),
-                  cell(target.report.p99LatencyMs, 3)});
+    addRow(table, "target (actual)", medium.orig[mongo].report);
     table.addSeparator();
-
-    const core::GenerationConfig lastCfg =
-        core::GenerationConfig::stage('H');
-    for (std::size_t i = 0; i < std::size(stages); ++i) {
-        const RunResult &run = stageRuns[i];
-        table.addRow({stages[i].label, cell(run.report.ipc, 3),
-                      cell(run.report.instructionsPerRequest, 0),
-                      cell(run.report.cyclesPerRequest, 0),
-                      cell(run.report.p99LatencyMs, 3)});
-        std::cout << "  " << stages[i].label << " done\n";
-    }
-
-    // ---- I: fine tuning --------------------------------------------------
-    std::cout << "  I:Tune (feedback calibration)...\n";
-    core::CloneRunner runner = [&](const core::GenerationConfig &cfg) {
-        const app::ServiceSpec spec = core::generateClone(
-            base.profile, base.skeleton, {}, nameMap, cfg);
-        const RunResult run =
-            runSingleTier(spec, cloneLoad, platform,
-                          sim::milliseconds(150),
-                          sim::milliseconds(200));
-        return run.report;
-    };
-    core::TuneOptions tuneOpts;
-    tuneOpts.maxIterations = 10;
-    tuneOpts.tolerance = 0.05;
-    tuneOpts.executor = &ex;
-    const core::TuneResult tuned = core::fineTune(
-        base.profile.reference, lastCfg, runner, tuneOpts);
-    const app::ServiceSpec tunedSpec = core::generateClone(
-        base.profile, base.skeleton, {}, nameMap, tuned.config);
-    const RunResult tunedRun =
-        runSingleTier(tunedSpec, cloneLoad, platform);
-    table.addRow({"I:Tune", cell(tunedRun.report.ipc, 3),
-                  cell(tunedRun.report.instructionsPerRequest, 0),
-                  cell(tunedRun.report.cyclesPerRequest, 0),
-                  cell(tunedRun.report.p99LatencyMs, 3)});
-
+    for (std::size_t i = 0; i < std::size(stages); ++i)
+        addRow(table, stages[i], stageRuns[i].report);
+    addRow(table, "I:Tune", medium.synth[mongo].report);
     table.print(std::cout);
-    std::cout << "\nFine tuning took " << tuned.iterations
+
+    std::cout << "\nFine tuning took " << clone.tuning.iterations
               << " iterations (paper: converges within ten); final "
-                 "IPC error "
-              << stats::formatPercent(tuned.finalIpcError, 1) << "\n";
-    return 0;
+                 "IPC error in its tuning sandbox "
+              << stats::formatPercent(clone.tuning.finalIpcError, 1)
+              << "\n";
 }

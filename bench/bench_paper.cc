@@ -1,6 +1,6 @@
 /**
  * @file
- * Figs. 5, 6, 7, 8, 10 and 11 from one clone set (bench/paper.h).
+ * Figs. 5-11 from one clone set (bench/paper.h).
  * stderr and BENCH_pipeline.json get the wall-clock of the clone
  * stage (`paper_clones`), of each figure (`paper_fig5` ...) and of
  * the whole run (`bench_paper`); stdout carries no time.
@@ -52,6 +52,7 @@ main(int argc, char **argv)
     stage("paper_fig6", [&] { fig6(clones, ex); });
     stage("paper_fig7", [&] { fig7(clones, medium, ex); });
     stage("paper_fig8", [&] { fig8(clones, medium); });
+    stage("paper_fig9", [&] { fig9(clones, medium, ex); });
     stage("paper_fig10", [&] { fig10(clones, ex); });
     stage("paper_fig11", [&] { fig11(clones, ex); });
     return 0;

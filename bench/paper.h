@@ -33,19 +33,26 @@ struct PaperClones
     std::vector<AppClone> apps;  ///< singleTierApps(), in its order
     core::TopologyCloneResult socialNetwork;
 
-    /** The app named `name` (std::out_of_range if absent). */
-    const AppClone &find(const std::string &name) const
+    /** Position in `apps` of `name` (std::out_of_range if absent). */
+    std::size_t indexOf(const std::string &name) const
     {
         std::size_t i = 0;
         while (apps.at(i).app.name != name)
             ++i;
-        return apps[i];
+        return i;
+    }
+
+    /** The app named `name` (std::out_of_range if absent). */
+    const AppClone &find(const std::string &name) const
+    {
+        return apps[indexOf(name)];
     }
 };
 
 /**
  * Fig. 5's medium-load runs on Platform A, which Fig. 7 reuses as its
- * Platform A column and Fig. 8 reports.
+ * Platform A column, Fig. 8 reports and Fig. 9 takes its MongoDB
+ * target and tuned rows from.
  */
 struct MediumLoadRuns
 {
@@ -58,6 +65,8 @@ void fig6(const PaperClones &clones, sim::RunExecutor &ex);
 void fig7(const PaperClones &clones, const MediumLoadRuns &medium,
           sim::RunExecutor &ex);
 void fig8(const PaperClones &clones, const MediumLoadRuns &runs);
+void fig9(const PaperClones &clones, const MediumLoadRuns &medium,
+          sim::RunExecutor &ex);
 void fig10(const PaperClones &clones, sim::RunExecutor &ex);
 void fig11(const PaperClones &clones, sim::RunExecutor &ex);
 

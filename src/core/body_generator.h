@@ -56,6 +56,8 @@ struct GenerationConfig
 
     /** Stage presets A..H for the Fig. 9 decomposition. */
     static GenerationConfig stage(char stage);
+
+    bool operator==(const GenerationConfig &) const = default;
 };
 
 /** Output of body generation. */

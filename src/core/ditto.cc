@@ -37,6 +37,54 @@ runCandidate(const app::ServiceSpec &spec,
     return report;
 }
 
+/** The load a tier is tuned under, given its profile. */
+using TuneLoad =
+    std::function<workload::LoadSpec(const profile::ServiceProfile &)>;
+
+/**
+ * The per-tier half of both facades: profile `svc`, infer its
+ * skeleton as seen by `connections` client connections and, with
+ * fine tuning on, tune the generator config against the profiled
+ * reference in sandbox deployments on `platform` seeded
+ * `sandboxSeed`, driven by `tuneLoad(profile)`. Candidates omit RPC
+ * edges (downstreams don't exist in the sandbox; the CPU counters
+ * the tuner matches are unaffected). The caller generates `spec`,
+ * since only it knows the tier's edges.
+ */
+CloneResult
+cloneTier(app::Deployment &dep, app::ServiceInstance &svc,
+          unsigned connections, const TuneLoad &tuneLoad,
+          const hw::PlatformSpec &platform, std::uint64_t sandboxSeed,
+          const CloneOptions &opts)
+{
+    CloneResult clone;
+    clone.profile = profile::profileService(dep, svc, opts.profiling);
+    clone.skeleton = analyzeSkeleton(
+        clone.profile.threads, opts.profiling.window, connections,
+        clone.profile.asyncEvidence);
+    clone.config = opts.gen;
+    if (!opts.fineTune)
+        return clone;
+
+    const workload::LoadSpec load = tuneLoad(clone.profile);
+    const std::map<std::string, std::string> nameMap = {
+        {svc.name(), svc.name() + opts.cloneSuffix}};
+    CloneRunner runner = [&](const GenerationConfig &cfg) {
+        const app::ServiceSpec candidate = generateClone(
+            clone.profile, clone.skeleton, {}, nameMap, cfg);
+        return runCandidate(candidate, load, platform, opts.tuneWarmup,
+                            opts.tuneWindow, sandboxSeed);
+    };
+    TuneOptions tuneOpts;
+    tuneOpts.maxIterations = opts.maxTuneIterations;
+    tuneOpts.tolerance = opts.tuneTolerance;
+    tuneOpts.executor = opts.executor;
+    clone.tuning =
+        fineTune(clone.profile.reference, opts.gen, runner, tuneOpts);
+    clone.config = clone.tuning.config;
+    return clone;
+}
+
 } // namespace
 
 CloneResult
@@ -44,45 +92,15 @@ cloneService(app::Deployment &dep, app::ServiceInstance &svc,
              const workload::LoadSpec &loadSpec,
              const hw::PlatformSpec &platform, const CloneOptions &opts)
 {
-    CloneResult result;
-
-    // 1. Profile the running original.
-    result.profile = profile::profileService(dep, svc, opts.profiling);
-
-    // 2. Infer the skeleton from the probe observations.
-    result.skeleton = analyzeSkeleton(
-        result.profile.threads, opts.profiling.window,
-        loadSpec.connections, result.profile.asyncEvidence);
-
-    // 3. Generate, optionally fine-tuning against the reference
-    //    counters on a sandbox deployment.
-    const std::map<std::string, std::string> nameMap = {
-        {result.profile.serviceName,
-         result.profile.serviceName + opts.cloneSuffix}};
-    const std::vector<profile::EdgeProfile> noEdges;
-
-    result.config = opts.gen;
-    if (opts.fineTune) {
-        const workload::LoadSpec tuneLoad = cloneLoadSpec(loadSpec);
-        CloneRunner runner = [&](const GenerationConfig &cfg) {
-            const app::ServiceSpec candidate = generateClone(
-                result.profile, result.skeleton, noEdges, nameMap,
-                cfg);
-            return runCandidate(candidate, tuneLoad, platform,
-                                opts.tuneWarmup, opts.tuneWindow,
-                                dep.seed() ^ 0x745e5eedull);
-        };
-        TuneOptions tuneOpts;
-        tuneOpts.maxIterations = opts.maxTuneIterations;
-        tuneOpts.tolerance = opts.tuneTolerance;
-        tuneOpts.executor = opts.executor;
-        result.tuning = fineTune(result.profile.reference, opts.gen,
-                                 runner, tuneOpts);
-        result.config = result.tuning.config;
-    }
-
-    result.spec = generateClone(result.profile, result.skeleton,
-                                noEdges, nameMap, result.config);
+    CloneResult result = cloneTier(
+        dep, svc, loadSpec.connections,
+        [&loadSpec](const profile::ServiceProfile &) {
+            return cloneLoadSpec(loadSpec);
+        },
+        platform, dep.seed() ^ 0x745e5eedull, opts);
+    result.spec = generateClone(
+        result.profile, result.skeleton, {},
+        {{svc.name(), svc.name() + opts.cloneSuffix}}, result.config);
     return result;
 }
 
@@ -100,55 +118,28 @@ cloneTopology(app::Deployment &dep,
     for (const std::string &tier : tiers)
         nameMap[tier] = tier + opts.cloneSuffix;
 
+    // Each tier is tuned at the rate and request sizes it actually
+    // observed in situ.
+    const TuneLoad tierLoad = [&opts, rootConnections](
+                                  const profile::ServiceProfile &prof) {
+        workload::LoadSpec load;
+        load.qps = prof.requestsObserved /
+            sim::toSeconds(opts.profiling.window);
+        load.connections = std::min(16u, rootConnections);
+        load.openLoop = true;
+        const auto req = static_cast<std::uint32_t>(
+            std::max(32.0, prof.avgRequestBytes));
+        load.endpoints = {{0, 1.0, req, req}};
+        return load;
+    };
     for (const std::string &tier : tiers) {
         app::ServiceInstance *svc = dep.find(tier);
         if (!svc)
             continue;
-        CloneResult clone;
-        clone.profile =
-            profile::profileService(dep, *svc, opts.profiling);
-        clone.skeleton = analyzeSkeleton(
-            clone.profile.threads, opts.profiling.window,
-            rootConnections, clone.profile.asyncEvidence);
-        clone.config = opts.gen;
-
-        if (opts.fineTune) {
-            // Tune each tier in a sandbox against its in-situ
-            // reference counters, driven at the rate and request
-            // sizes it actually observed. The candidate omits
-            // downstream RPCs (they don't exist in the sandbox);
-            // the CPU counters the tuner matches are unaffected.
-            workload::LoadSpec tierLoad;
-            tierLoad.qps = clone.profile.requestsObserved /
-                sim::toSeconds(opts.profiling.window);
-            tierLoad.connections = std::min(16u, rootConnections);
-            tierLoad.openLoop = true;
-            const auto req = static_cast<std::uint32_t>(
-                std::max(32.0, clone.profile.avgRequestBytes));
-            tierLoad.endpoints = {{0, 1.0, req, req}};
-
-            const std::map<std::string, std::string> tierMap = {
-                {tier, tier + opts.cloneSuffix}};
-            CloneRunner runner =
-                [&](const GenerationConfig &cfg) {
-                    const app::ServiceSpec candidate = generateClone(
-                        clone.profile, clone.skeleton, {}, tierMap,
-                        cfg);
-                    return runCandidate(candidate, tierLoad,
-                                        svc->machine().spec(),
-                                        opts.tuneWarmup,
-                                        opts.tuneWindow,
-                                        dep.seed() ^ 0x7e57e4);
-                };
-            TuneOptions tuneOpts;
-            tuneOpts.maxIterations = opts.maxTuneIterations;
-            tuneOpts.tolerance = opts.tuneTolerance;
-            tuneOpts.executor = opts.executor;
-            clone.tuning = fineTune(clone.profile.reference, opts.gen,
-                                    runner, tuneOpts);
-            clone.config = clone.tuning.config;
-        }
-        result.perService.emplace(tier, std::move(clone));
+        result.perService.emplace(
+            tier, cloneTier(dep, *svc, rootConnections, tierLoad,
+                            svc->machine().spec(),
+                            dep.seed() ^ 0x7e57e4, opts));
     }
 
     result.topology = analyzeTopology(dep.tracer());

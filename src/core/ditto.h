@@ -45,9 +45,8 @@ struct CloneOptions
     /**
      * Optional executor for concurrent fine-tune candidate
      * evaluation (see TuneOptions::executor). Results are identical
-     * at any worker count; only wall-clock time changes. Passing no
-     * executor selects the single-candidate tuning loop instead, so
-     * those results differ from any executor's.
+     * at any worker count, and with no executor; only wall-clock
+     * time changes.
      */
     sim::RunExecutor *executor = nullptr;
 };

@@ -27,8 +27,8 @@ chaseFactor(double base, double gain)
 
 /**
  * One grouped-knob update derived from the report of the current
- * config. `gain` scales the step size; gain 1.0 reproduces the
- * classic update exactly.
+ * config. `gain` scales the step size; gain 1.0 is the nominal
+ * update.
  */
 GenerationConfig
 nudged(const GenerationConfig &current,
@@ -120,7 +120,7 @@ makeStep(const profile::PerfReport &report,
 
 /**
  * Candidate step gains. The nominal step comes first so a tie on
- * score resolves to the classic trajectory.
+ * score resolves to it.
  */
 constexpr double kGains[] = {1.0, 0.5, 1.6};
 
@@ -134,10 +134,6 @@ fineTune(const profile::ReferenceCounters &target,
     TuneResult result;
     result.config = initial;
 
-    const unsigned fanout = opts.executor
-        ? std::clamp(opts.fanout, 1u, 3u)
-        : 1u;
-
     GenerationConfig current = initial;
     profile::PerfReport lastReport;
 
@@ -145,17 +141,16 @@ fineTune(const profile::ReferenceCounters &target,
         // Candidate configs: the initial config on the first
         // iteration, grouped-knob updates of the incumbent after.
         // The set is a pure function of the incumbent's report --
-        // never of the worker count -- so results are identical at
-        // any parallelism.
+        // never of the executor or its worker count -- so results
+        // are identical at any parallelism, or none.
         std::vector<GenerationConfig> candidates;
         if (iter == 0) {
             candidates.push_back(current);
         } else {
-            for (unsigned c = 0; c < fanout; ++c)
+            for (double gain : kGains)
                 candidates.push_back(nudged(current, target,
                                             lastReport,
-                                            opts.tolerance,
-                                            kGains[c]));
+                                            opts.tolerance, gain));
         }
 
         std::vector<profile::PerfReport> reports;
@@ -203,17 +198,6 @@ fineTune(const profile::ReferenceCounters &target,
         }
     }
     return result;
-}
-
-TuneResult
-fineTune(const profile::ReferenceCounters &target,
-         const GenerationConfig &initial, const CloneRunner &run,
-         unsigned maxIterations, double tolerance)
-{
-    TuneOptions opts;
-    opts.maxIterations = maxIterations;
-    opts.tolerance = tolerance;
-    return fineTune(target, initial, run, opts);
 }
 
 } // namespace ditto::core

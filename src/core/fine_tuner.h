@@ -12,12 +12,13 @@
  *   - dmemTailScale    <- L1d/L2/LLC miss rates
  *   - chaseScale       <- residual IPC error (MLP)
  *
- * With a RunExecutor attached, each iteration proposes a *fixed* set
- * of candidate step sizes for the grouped-knob update (damped /
- * nominal / aggressive), evaluates them concurrently, and picks the
- * winner deterministically (lowest max error; ties break toward the
- * nominal step). The candidate set never depends on the worker
- * count, so tuning with 8 jobs is bit-identical to 1 job.
+ * After the initial config, each iteration proposes a *fixed* set of
+ * candidate step sizes for the grouped-knob update (nominal / damped /
+ * aggressive), evaluates them, and picks the winner deterministically
+ * (lowest max error; ties break toward the nominal step). The
+ * candidates run concurrently on a RunExecutor when one is attached
+ * and inline otherwise; the set never depends on either, so a tuned
+ * config is bit-identical with no executor, 1 job or 8.
  */
 
 #ifndef DITTO_CORE_FINE_TUNER_H_
@@ -61,32 +62,24 @@ struct TuneOptions
     unsigned maxIterations = 10;
     double tolerance = 0.05;
     /**
-     * When set, each iteration evaluates `fanout` candidate step
-     * sizes concurrently on the executor (the CloneRunner must be
-     * safe to invoke from several threads; runners that deploy
-     * candidates in fresh sandbox deployments are). When null, the
-     * classic one-candidate-per-iteration loop runs inline.
+     * When set, each iteration's candidate step sizes run
+     * concurrently on the executor (the CloneRunner must then be safe
+     * to invoke from several threads; runners that deploy candidates
+     * in fresh sandbox deployments are). When null, they run inline
+     * in order. Either way the result is the same.
      */
     sim::RunExecutor *executor = nullptr;
-    /** Candidate step sizes per iteration (clamped to [1, 3]). */
-    unsigned fanout = 3;
 };
 
 /**
  * Iterate generator configs until the clone's counters match the
  * profiled reference within tolerance, or maxIterations passes.
- * `iterations` counts loop iterations, not runner invocations.
+ * `iterations` counts loop iterations, not runner invocations: the
+ * first runs the initial config, every later one three candidates.
  */
 TuneResult fineTune(const profile::ReferenceCounters &target,
                     const GenerationConfig &initial,
                     const CloneRunner &run, const TuneOptions &opts);
-
-/** Convenience overload for the serial single-candidate loop. */
-TuneResult fineTune(const profile::ReferenceCounters &target,
-                    const GenerationConfig &initial,
-                    const CloneRunner &run,
-                    unsigned maxIterations = 10,
-                    double tolerance = 0.05);
 
 } // namespace ditto::core
 

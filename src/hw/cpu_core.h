@@ -220,7 +220,12 @@ class CpuCore
     BranchPredictor &predictor() { return predictor_; }
     unsigned id() const { return id_; }
 
-    /** Attach/detach a profiler; also forces exact execution. */
+    /**
+     * Attach/detach a profiler. While one is attached the core runs
+     * exactly (no iteration sampling or replay) whatever
+     * setExactMode says; detaching leaves the exact-mode setting as
+     * it was.
+     */
     void setObserver(ExecObserver *observer);
 
     /** Disable iteration sampling and replay (profiling-accurate). */

@@ -15,12 +15,10 @@ profileService(app::Deployment &dep, app::ServiceInstance &svc,
     // Warm the service (caches, page cache, connections).
     dep.runFor(opts.warmup);
 
-    // Attach the instrumentation.
+    // Attach the instrumentation (an observed core runs exactly).
     CpuProfiler cpu(svc.name() + ".", opts.maxWsBytes);
-    for (unsigned c = 0; c < machine.coreCount(); ++c) {
+    for (unsigned c = 0; c < machine.coreCount(); ++c)
         machine.core(c).setObserver(&cpu);
-        machine.core(c).setExactMode(true);
-    }
     ProbeCollector probe;
     svc.setProbe(&probe);
     probe.begin(dep.events().now());
@@ -31,10 +29,8 @@ profileService(app::Deployment &dep, app::ServiceInstance &svc,
     // Snapshot reference counters before detaching.
     const PerfReport ref = snapshotService(svc);
 
-    for (unsigned c = 0; c < machine.coreCount(); ++c) {
+    for (unsigned c = 0; c < machine.coreCount(); ++c)
         machine.core(c).setObserver(nullptr);
-        machine.core(c).setExactMode(false);
-    }
     svc.setProbe(nullptr);
 
     const double requests =

@@ -108,11 +108,12 @@ TEST(RunExecutor, ParallelSweepBitIdenticalToSerial)
 }
 
 /**
- * Clone `app` at its medium load with fine tuning on `ex`: short
- * windows and at most three tuning iterations keep it to seconds.
+ * Clone `app` at its medium load with fine tuning on `ex` (inline
+ * when null): short windows and at most three tuning iterations keep
+ * it to seconds.
  */
 core::CloneResult
-tunedClone(const bench::AppCase &app, sim::RunExecutor &ex)
+tunedClone(const bench::AppCase &app, sim::RunExecutor *ex)
 {
     app::Deployment dep(79);
     os::Machine &machine = dep.addMachine("node", hw::platformA());
@@ -123,7 +124,7 @@ tunedClone(const bench::AppCase &app, sim::RunExecutor &ex)
     gen.start();
 
     core::CloneOptions opts;
-    opts.executor = &ex;
+    opts.executor = ex;
     opts.maxTuneIterations = 3;
     opts.tuneWarmup = sim::milliseconds(40);
     opts.tuneWindow = sim::milliseconds(60);
@@ -137,26 +138,29 @@ TEST(RunExecutor, TunedCloneIndependentOfJobsAndHistory)
     // One shared executor builds every figure's clone concurrently
     // (bench_paper), so a tuned clone may depend only on its inputs:
     // not on the worker count, nor on what ran on the executor
-    // before. (A null executor is not compared: it selects the
-    // one-candidate tuning loop, which differs by design.)
+    // before, nor on whether there is an executor at all.
     const bench::AppCase redis{"Redis", apps::redisSpec(),
                                apps::redisLoad()};
     const bench::AppCase mongodb{"MongoDB", apps::mongodbSpec(),
                                  apps::mongodbLoad()};
 
     sim::RunExecutor serial(1);
-    const core::CloneResult alone = tunedClone(redis, serial);
+    const core::CloneResult alone = tunedClone(redis, &serial);
 
     sim::RunExecutor pool(3);
-    const core::CloneResult unrelated = tunedClone(mongodb, pool);
+    const core::CloneResult unrelated = tunedClone(mongodb, &pool);
     EXPECT_GT(unrelated.tuning.iterations, 0u);
-    const core::CloneResult shared = tunedClone(redis, pool);
+    const core::CloneResult shared = tunedClone(redis, &pool);
+    const core::CloneResult unpooled = tunedClone(redis, nullptr);
 
     EXPECT_GT(alone.tuning.iterations, 1u);
-    EXPECT_EQ(core::specToString(alone.spec),
-              core::specToString(shared.spec));
-    EXPECT_EQ(alone.tuning.iterations, shared.tuning.iterations);
-    EXPECT_EQ(alone.tuning.finalIpcError, shared.tuning.finalIpcError);
+    for (const core::CloneResult *other : {&shared, &unpooled}) {
+        EXPECT_EQ(core::specToString(alone.spec),
+                  core::specToString(other->spec));
+        EXPECT_EQ(alone.tuning.iterations, other->tuning.iterations);
+        EXPECT_EQ(alone.tuning.finalIpcError,
+                  other->tuning.finalIpcError);
+    }
 }
 
 // ---------------------------------------------------------------------------

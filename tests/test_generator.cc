@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cmath>
 
 #include "core/body_generator.h"
@@ -423,7 +424,7 @@ TEST(FineTuner, ConvergesOnLinearModel)
     };
 
     const TuneResult result =
-        fineTune(target, GenerationConfig{}, runner, 10, 0.05);
+        fineTune(target, GenerationConfig{}, runner, TuneOptions{});
     EXPECT_TRUE(result.converged);
     EXPECT_LE(result.iterations, 10u);
     EXPECT_LT(result.finalIpcError, 0.05);
@@ -435,17 +436,33 @@ TEST(FineTuner, StopsAtMaxIterations)
     profile::ReferenceCounters target;
     target.ipc = 5.0;  // unreachable
     target.instructionsPerRequest = 1;
+    std::atomic<unsigned> calls{0};
     CloneRunner runner = [&](const GenerationConfig &) {
+        ++calls;
         profile::PerfReport r;
         r.ipc = 1.0;
         r.instructionsPerRequest = 100;
         return r;
     };
+    TuneOptions opts;
+    opts.maxIterations = 6;
     const TuneResult result =
-        fineTune(target, GenerationConfig{}, runner, 6, 0.05);
+        fineTune(target, GenerationConfig{}, runner, opts);
     EXPECT_FALSE(result.converged);
     EXPECT_EQ(result.iterations, 6u);
     EXPECT_EQ(result.trace.size(), 6u);
+    // The initial config, then three step sizes per later iteration,
+    // with or without an executor.
+    EXPECT_EQ(calls.load(), 1u + 3u * (6u - 1u));
+
+    calls = 0;
+    sim::RunExecutor pool(2);
+    opts.executor = &pool;
+    const TuneResult pooled =
+        fineTune(target, GenerationConfig{}, runner, opts);
+    EXPECT_EQ(calls.load(), 16u);
+    EXPECT_EQ(pooled.iterations, result.iterations);
+    EXPECT_TRUE(pooled.config == result.config);
 }
 
 TEST(GenerationConfig, StagePresetsAreCumulative)

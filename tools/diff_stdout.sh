@@ -12,13 +12,16 @@
 # and exits 1 if any stdout differs or any run fails.
 #
 # Surfaces: bench_faults, bench_overload, bench_regions,
-# bench_workload, bench_scale, bench_clone, bench_fig9 (profiles
-# MongoDB and rebuilds its clone one generator stage at a time),
+# bench_workload, bench_scale, bench_clone, bench_ablation (profiles
+# a reference service with the exact-mode profiler and measures its
+# clone with one generator mechanism degraded at a time),
 # ditto-chaos (plain and --sessions --overload) and ditto-clone
 # (plain and --sessions).
 # bench_paper is left out for its runtime (minutes even at --jobs 4);
 # diff it separately, e.g. in bash:
 #   diff <(P/bench/bench_paper --jobs 4) <(build/bench/bench_paper --jobs 4)
+# Against a parent that still has the standalone bench_fig9 binary,
+# bench_paper gains a Fig. 9 section: compare the other sections.
 
 set -u
 
@@ -70,7 +73,7 @@ surface bench_regions bench/bench_regions
 surface bench_workload bench/bench_workload
 surface bench_scale bench/bench_scale
 surface bench_clone bench/bench_clone
-surface bench_fig9 bench/bench_fig9
+surface bench_ablation bench/bench_ablation
 surface ditto-chaos tools/ditto-chaos
 surface ditto-chaos-sessions-overload tools/ditto-chaos --sessions --overload
 surface ditto-clone tools/ditto-clone
