@@ -3,8 +3,9 @@
  * Substrate micro-benchmarks (google-benchmark): throughput of the
  * building blocks every experiment rests on -- event queue, cache
  * simulation, branch predictor, block interpretation with and
- * without replay acceleration, stack-distance profiling, and
- * end-to-end simulated-requests-per-host-second.
+ * without replay acceleration, stack-distance profiling,
+ * end-to-end simulated-requests-per-host-second, and Jaeger trace
+ * parse and ingest throughput.
  */
 
 #include <benchmark/benchmark.h>
@@ -14,11 +15,14 @@
 #include <vector>
 
 #include "app/deployment.h"
+#include "clone/foreign_fixture.h"
+#include "clone/trace_clone.h"
 #include "core/slab_arena.h"
 #include "hw/block_builder.h"
 #include "hw/cpu_core.h"
 #include "hw/platform.h"
 #include "obs/jaeger.h"
+#include "obs/json.h"
 #include "obs/metrics.h"
 #include "obs/register.h"
 #include "os/machine.h"
@@ -379,6 +383,42 @@ BM_JaegerExportImport(benchmark::State &state)
     }
 }
 BENCHMARK(BM_JaegerExportImport)->Unit(benchmark::kMillisecond);
+
+/** The 5000-trace foreign fixture (about 11 MB), built once. */
+static const std::string &
+foreignTrace()
+{
+    static const std::string json = clone::exampleForeignTraceJson(5000);
+    return json;
+}
+
+static void
+BM_JsonParseForeign(benchmark::State &state)
+{
+    // Parse alone: text to flat document and back to free memory.
+    const std::string &json = foreignTrace();
+    for (auto _ : state) {
+        const obs::JsonDocument doc = obs::parseJson(json);
+        benchmark::DoNotOptimize(doc.nodes().size());
+    }
+    state.SetBytesProcessed(state.iterations() *
+                            static_cast<std::int64_t>(json.size()));
+}
+BENCHMARK(BM_JsonParseForeign)->Unit(benchmark::kMillisecond);
+
+static void
+BM_IngestForeign(benchmark::State &state)
+{
+    // The trace-clone ingest stage: parse, import and topology fit.
+    const std::string &json = foreignTrace();
+    for (auto _ : state) {
+        const clone::TraceModel model = clone::ingestTraceJson(json);
+        benchmark::DoNotOptimize(model.spans);
+    }
+    state.SetBytesProcessed(state.iterations() *
+                            static_cast<std::int64_t>(json.size()));
+}
+BENCHMARK(BM_IngestForeign)->Unit(benchmark::kMillisecond);
 
 static void
 BM_MetricsSnapshot(benchmark::State &state)

@@ -1,15 +1,15 @@
 #include "obs/jaeger.h"
 
 #include <algorithm>
-#include <cerrno>
+#include <array>
+#include <charconv>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <map>
 #include <set>
-#include <sstream>
 #include <stdexcept>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -31,12 +31,16 @@ hex16(std::uint64_t v)
 }
 
 std::uint64_t
-parseHexId(const std::string &s)
+parseHexId(std::string_view s)
 {
     // Accept up to 32 hex chars: Jaeger emits 128-bit trace ids, and
     // the low 64 bits are unique enough to key a trace group.
+    const auto bad = [s] {
+        return std::runtime_error("jaeger: bad hex id \"" +
+                                  std::string(s) + "\"");
+    };
     if (s.empty() || s.size() > 32)
-        throw std::runtime_error("jaeger: bad hex id \"" + s + "\"");
+        throw bad();
     const std::size_t low = s.size() > 16 ? s.size() - 16 : 0;
     std::uint64_t v = 0;
     for (std::size_t i = 0; i < s.size(); ++i) {
@@ -49,28 +53,28 @@ parseHexId(const std::string &s)
         else if (c >= 'A' && c <= 'F')
             d = static_cast<unsigned>(c - 'A' + 10);
         else
-            throw std::runtime_error("jaeger: bad hex id \"" + s +
-                                     "\"");
+            throw bad();
         if (i >= low)
             v = (v << 4) | d;
     }
     return v;
 }
 
+/** A decimal u64 tag: digits only, no sign, space or suffix. */
 std::uint64_t
-parseDec(const std::string &s)
+parseDec(std::string_view s)
 {
     if (s.empty())
         throw std::runtime_error("jaeger: empty decimal tag");
-    errno = 0;
-    char *end = nullptr;
-    const std::uint64_t v = std::strtoull(s.c_str(), &end, 10);
-    if (errno == ERANGE)
-        throw std::runtime_error("jaeger: decimal tag \"" + s +
-                                 "\" overflows uint64");
-    if (end != s.c_str() + s.size())
-        throw std::runtime_error("jaeger: bad decimal tag \"" + s +
-                                 "\"");
+    std::uint64_t v = 0;
+    const char *end = s.data() + s.size();
+    const auto [stop, ec] = std::from_chars(s.data(), end, v);
+    if (ec == std::errc::result_out_of_range)
+        throw std::runtime_error("jaeger: decimal tag \"" +
+                                 std::string(s) + "\" overflows uint64");
+    if (ec != std::errc{} || stop != end)
+        throw std::runtime_error("jaeger: bad decimal tag \"" +
+                                 std::string(s) + "\"");
     return v;
 }
 
@@ -349,51 +353,145 @@ writeJaegerJsonFile(const trace::Tracer &tracer,
 
 namespace {
 
-const JsonValue *
-findTag(const JsonValue &span, const char *arrayKey,
-        const std::string &key)
+// ---- one-pass readers -------------------------------------------------
+
+/**
+ * The span members the importer reads, gathered in one pass over the
+ * span. The first member with a key wins, as with JsonValue::find.
+ */
+struct SpanMembers
 {
-    const JsonValue *tags = span.find(arrayKey);
-    if (!tags || !tags->isArray())
-        return nullptr;
-    for (const JsonValue &tag : tags->items) {
-        const JsonValue *k = tag.find("key");
-        if (k && k->asString() == key)
-            return tag.find("value");
+    JsonValue traceId, spanId, processId, operation, references,
+        startTime, duration, tags, logs;
+
+    explicit SpanMembers(JsonValue span)
+    {
+        for (JsonValue m : span.members()) {
+            const std::string_view k = m.key();
+            JsonValue *slot = k == "traceID"     ? &traceId
+                : k == "spanID"                  ? &spanId
+                : k == "processID"               ? &processId
+                : k == "operationName"           ? &operation
+                : k == "references"              ? &references
+                : k == "startTime"               ? &startTime
+                : k == "duration"                ? &duration
+                : k == "tags"                    ? &tags
+                : k == "logs"                    ? &logs
+                                                 : nullptr;
+            if (slot && !*slot)
+                *slot = m;
+        }
     }
-    return nullptr;
-}
+};
+
+/** The tag keys the importer reads from span tags and log fields. */
+enum Tag : unsigned
+{
+    kSpanKind,
+    kPeerService,
+    kEndpoint,
+    kSeq,
+    kStartNs,
+    kEndNs,
+    kRequestBytes,
+    kResponseBytes,
+    kHttpRequestLength,
+    kHttpResponseLength,
+    kDeadlineNs,
+    kEvent,
+    kTarget,
+    kAttempts,
+    kTimeNs,
+    kCause,
+    kTagCount,
+};
+
+constexpr std::array<std::string_view, kTagCount> kTagKeys = {
+    "span.kind",
+    "peer.service",
+    "ditto.endpoint",
+    "ditto.seq",
+    "ditto.start_ns",
+    "ditto.end_ns",
+    "ditto.request_bytes",
+    "ditto.response_bytes",
+    "http.request_content_length",
+    "http.response_content_length",
+    "ditto.deadline_ns",
+    "event",
+    "ditto.target",
+    "ditto.attempts",
+    "ditto.time_ns",
+    "ditto.cause",
+};
+
+/**
+ * The values of a tags or fields array ([{"key", "value"}, ...]), in
+ * one pass. The first entry with a key decides that key's value, even
+ * when it lacks a "value" member (the tag then reads as absent).
+ */
+class Tags
+{
+  public:
+    explicit Tags(JsonValue array)
+    {
+        for (JsonValue tag : array.items()) {
+            JsonValue key, value;
+            for (JsonValue m : tag.members()) {
+                if (!key && m.key() == "key")
+                    key = m;
+                else if (!value && m.key() == "value")
+                    value = m;
+            }
+            if (!key)
+                continue;
+            const std::string_view name = key.asString();
+            for (unsigned t = 0; t < kTagCount; ++t) {
+                if (name != kTagKeys[t])
+                    continue;
+                if (!(seen_ & (1u << t))) {
+                    seen_ |= 1u << t;
+                    values_[t] = value;
+                }
+                break;
+            }
+        }
+    }
+
+    JsonValue operator[](Tag t) const { return values_[t]; }
+    std::uint64_t u64(Tag t) const { return values_[t].asU64(); }
+    /** A decimal-string tag holding a lossless u64 (ditto.*_ns). */
+    std::uint64_t
+    dec(Tag t) const
+    {
+        return values_[t] ? parseDec(values_[t].asString()) : 0;
+    }
+    std::string_view str(Tag t) const { return values_[t].asString(); }
+
+  private:
+    std::array<JsonValue, kTagCount> values_{};
+    std::uint32_t seen_ = 0;
+};
 
 std::uint64_t
-tagU64(const JsonValue &span, const std::string &key)
+parentFromReferences(JsonValue refs)
 {
-    const JsonValue *v = findTag(span, "tags", key);
-    return v ? v->asU64() : 0;
-}
-
-/** Decimal-string tag holding a lossless u64 (e.g. ditto.start_ns). */
-std::uint64_t
-tagU64Str(const JsonValue &span, const std::string &key)
-{
-    const JsonValue *v = findTag(span, "tags", key);
-    return v ? parseDec(v->asString()) : 0;
-}
-
-std::string
-tagString(const JsonValue &span, const std::string &key)
-{
-    const JsonValue *v = findTag(span, "tags", key);
-    return v ? v->asString() : std::string{};
-}
-
-std::uint64_t
-parentFromReferences(const JsonValue &span)
-{
-    const JsonValue *refs = span.find("references");
-    if (!refs || !refs->isArray() || refs->items.empty())
+    if (refs.items().empty())
         return 0;
-    const JsonValue *sid = refs->items.front().find("spanID");
-    return sid ? parseHexId(sid->asString()) : 0;
+    const JsonValue sid = (*refs.items().begin()).find("spanID");
+    return sid ? parseHexId(sid.asString()) : 0;
+}
+
+/** One trace's processID -> serviceName table, views into the document. */
+using Processes = std::map<std::string_view, std::string_view>;
+
+Processes
+processTable(JsonValue procs)
+{
+    Processes table;
+    for (JsonValue p : procs.members())
+        table[p.key()] = p.find("serviceName").asString();  // last wins
+    return table;
 }
 
 /**
@@ -406,21 +504,21 @@ parentFromReferences(const JsonValue &span)
  * magnitude is still converted).
  */
 bool
-microsValueToNanos(const JsonValue &v, std::uint64_t *ns,
-                   bool *negative)
+microsValueToNanos(JsonValue v, std::uint64_t *ns, bool *negative)
 {
     *negative = false;
-    if (v.kind == JsonValue::Kind::Unsigned) {
-        if (v.unsignedValue > UINT64_MAX / 1000)
+    if (v.kind() == JsonValue::Kind::Unsigned) {
+        const std::uint64_t us = v.asU64();
+        if (us > UINT64_MAX / 1000)
             return false;
-        *ns = v.unsignedValue * 1000;
+        *ns = us * 1000;
         return true;
     }
-    const std::string &tok = v.str;
-    if (v.kind != JsonValue::Kind::Double || tok.empty() ||
-        tok.find_first_of("eE") != std::string::npos) {
-        // Exponent form (or a programmatic value with no literal):
-        // fall back to rounded double math.
+    const std::string_view tok = v.literal();
+    if (v.kind() != JsonValue::Kind::Double ||
+        tok.find_first_of("eE") != std::string_view::npos) {
+        // Exponent form (or not a number): fall back to rounded
+        // double math.
         double d = v.asDouble();
         if (d < 0) {
             *negative = true;
@@ -497,22 +595,33 @@ class Ingest
     ImportReport &rep_;
 };
 
-/** A foreign span after the first (field-extraction) pass. */
+/**
+ * A foreign span after the first (field-extraction) pass. Its strings
+ * are views into the parsed document.
+ */
 struct RawSpan
 {
     std::uint64_t traceId = 0;
     std::uint64_t spanId = 0;
     std::uint64_t parentId = 0;  //!< raw CHILD_OF reference
-    std::string service;
-    std::string operation;
+    std::string_view service;
+    std::string_view operation;
     std::uint64_t startNs = 0;
     std::uint64_t endNs = 0;
     std::uint64_t requestBytes = 0;
     std::uint64_t responseBytes = 0;
-    std::string peer;       //!< peer.service (client spans)
+    std::string_view peer;  //!< peer.service (client spans)
     int kind = 0;           //!< 0 server, 1 client, 2 other
     bool skip = false;      //!< lenient-repaired away
 };
+
+/** " (service \"S\", operation \"O\")" for defect messages. */
+std::string
+spanContext(const RawSpan &r)
+{
+    return " (service \"" + std::string(r.service) +
+        "\", operation \"" + std::string(r.operation) + "\")";
+}
 
 /**
  * Import one foreign trace entry: extract spans, validate structure,
@@ -520,45 +629,42 @@ struct RawSpan
  * spans where present, else derived from server-span parentage).
  */
 void
-importForeignTrace(const JsonValue &tr,
-                   const std::map<std::string, std::string> &pidToService,
+importForeignTrace(JsonValue tr, const Processes &processes,
                    Ingest &ing, ImportReport &rep,
                    std::map<std::string, std::vector<std::string>>
                        &endpointIdsByService,
                    std::vector<trace::Span> &outSpans,
                    std::vector<trace::RpcEdge> &outEdges)
 {
-    const JsonValue *spanArr = tr.find("spans");
-    if (!spanArr || !spanArr->isArray())
+    const JsonValue spanArr = tr.find("spans");
+    if (!spanArr.isArray())
         throw std::runtime_error("jaeger: trace without spans");
 
     // ---- pass 1: extract fields, catch duplicates ------------------
     std::vector<RawSpan> raw;
-    raw.reserve(spanArr->items.size());
+    raw.reserve(spanArr.size());
     std::unordered_map<std::uint64_t, std::size_t> byId;
-    for (const JsonValue &sp : spanArr->items) {
-        const JsonValue *tid = sp.find("traceID");
-        const JsonValue *sid = sp.find("spanID");
-        const JsonValue *pidv = sp.find("processID");
-        if (!tid || !sid || !pidv)
+    for (JsonValue sp : spanArr.items()) {
+        const SpanMembers m(sp);
+        if (!m.traceId || !m.spanId || !m.processId)
             throw std::runtime_error(
                 "jaeger: span missing traceID/spanID/processID");
         RawSpan r;
-        r.traceId = parseHexId(tid->asString());
-        r.spanId = parseHexId(sid->asString());
-        r.parentId = parentFromReferences(sp);
-        const auto pit = pidToService.find(pidv->asString());
-        if (pit == pidToService.end()) {
+        r.traceId = parseHexId(m.traceId.asString());
+        r.spanId = parseHexId(m.spanId.asString());
+        r.parentId = parentFromReferences(m.references);
+        const auto service = processes.find(m.processId.asString());
+        if (service == processes.end()) {
             ing.defect(rep.unknownProcessSpans,
                        "span " + hex16(r.spanId) +
                            " references unknown processID \"" +
-                           pidv->asString() + "\"");
+                           std::string(m.processId.asString()) + "\"");
             continue;  // lenient: skip the span entirely
         }
-        r.service = pit->second;
-        if (const JsonValue *op = sp.find("operationName"))
-            r.operation = op->asString();
-        const std::string kind = tagString(sp, "span.kind");
+        r.service = service->second;
+        r.operation = m.operation.asString();
+        const Tags tags(m.tags);
+        const std::string_view kind = tags.str(kSpanKind);
         if (kind == "client")
             r.kind = 1;
         else if (kind.empty() || kind == "server")
@@ -573,18 +679,18 @@ importForeignTrace(const JsonValue &tr,
         // Timestamps: native ns tags when present, else float-us.
         bool negStart = false, negDur = false;
         std::uint64_t durNs = 0;
-        if (findTag(sp, "tags", "ditto.start_ns")) {
-            r.startNs = tagU64Str(sp, "ditto.start_ns");
-            r.endNs = tagU64Str(sp, "ditto.end_ns");
+        if (tags[kStartNs]) {
+            r.startNs = tags.dec(kStartNs);
+            r.endNs = tags.dec(kEndNs);
             durNs = r.endNs >= r.startNs ? r.endNs - r.startNs : 0;
         } else {
-            const JsonValue *st = sp.find("startTime");
-            const JsonValue *du = sp.find("duration");
-            if (st && !microsValueToNanos(*st, &r.startNs, &negStart))
+            if (m.startTime &&
+                !microsValueToNanos(m.startTime, &r.startNs, &negStart))
                 throw std::runtime_error(
                     "jaeger: startTime overflows on span " +
                     hex16(r.spanId));
-            if (du && !microsValueToNanos(*du, &durNs, &negDur))
+            if (m.duration &&
+                !microsValueToNanos(m.duration, &durNs, &negDur))
                 throw std::runtime_error(
                     "jaeger: duration overflows on span " +
                     hex16(r.spanId));
@@ -596,10 +702,8 @@ importForeignTrace(const JsonValue &tr,
             }
             if (negDur) {
                 ing.defect(rep.negativeDurationSpans,
-                           "span " + hex16(r.spanId) + " (service \"" +
-                               r.service + "\", operation \"" +
-                               r.operation +
-                               "\") has negative duration");
+                           "span " + hex16(r.spanId) + spanContext(r) +
+                               " has negative duration");
                 durNs = 0;  // lenient: clamp
             }
             r.endNs = r.startNs + durNs;
@@ -608,19 +712,16 @@ importForeignTrace(const JsonValue &tr,
             // Zero-duration server spans poison service-time fitting.
             ing.defect(rep.zeroDurationSpans,
                        "zero-duration span " + hex16(r.spanId) +
-                           " (service \"" + r.service +
-                           "\", operation \"" + r.operation + "\")");
+                           spanContext(r));
 
         if (r.kind == 1) {
-            r.peer = tagString(sp, "peer.service");
-            r.requestBytes = tagU64(sp, "ditto.request_bytes");
+            r.peer = tags.str(kPeerService);
+            r.requestBytes = tags.u64(kRequestBytes);
             if (r.requestBytes == 0)
-                r.requestBytes =
-                    tagU64(sp, "http.request_content_length");
-            r.responseBytes = tagU64(sp, "ditto.response_bytes");
+                r.requestBytes = tags.u64(kHttpRequestLength);
+            r.responseBytes = tags.u64(kResponseBytes);
             if (r.responseBytes == 0)
-                r.responseBytes =
-                    tagU64(sp, "http.response_content_length");
+                r.responseBytes = tags.u64(kHttpResponseLength);
         }
 
         const auto [it, inserted] =
@@ -631,7 +732,7 @@ importForeignTrace(const JsonValue &tr,
                            " in trace " + hex16(r.traceId));
             r.skip = true;  // lenient: keep the first occurrence
         }
-        raw.push_back(std::move(r));
+        raw.push_back(r);
     }
 
     // ---- pass 2a: intern server endpoints, emit spans --------------
@@ -683,17 +784,18 @@ importForeignTrace(const JsonValue &tr,
         RawSpan &r = raw[i];
         if (r.skip || r.kind != 0)
             continue;
-        auto &names = endpointIdsByService[r.service];
+        auto &names = endpointIdsByService[std::string(r.service)];
         std::uint32_t ep = 0;
-        const std::string &opName =
-            r.operation.empty() ? std::string("unnamed") : r.operation;
+        const std::string_view opName =
+            r.operation.empty() ? std::string_view("unnamed")
+                                : r.operation;
         const auto found =
             std::find(names.begin(), names.end(), opName);
         if (found != names.end()) {
             ep = static_cast<std::uint32_t>(found - names.begin());
         } else {
             ep = static_cast<std::uint32_t>(names.size());
-            names.push_back(opName);
+            names.emplace_back(opName);
         }
         endpointOf[i] = ep;
 
@@ -749,7 +851,7 @@ importForeignTrace(const JsonValue &tr,
             ing.note("client span " + hex16(r.spanId) +
                      " has no callee server span; trusting "
                      "peer.service \"" +
-                     r.peer + "\"");
+                     std::string(r.peer) + "\"");
         } else {
             ing.defect(rep.calleelessClientSpans,
                        "client span " + hex16(r.spanId) +
@@ -775,76 +877,64 @@ importForeignTrace(const JsonValue &tr,
 
 /** Native (dittoMeta-marked) import: exact inverse of the exporter. */
 void
-importNativeSpan(const JsonValue &sp, std::uint64_t traceId,
-                 const std::string &service,
+importNativeSpan(const SpanMembers &m, const Tags &tags,
+                 std::uint64_t traceId, std::string_view service,
                  std::vector<std::pair<std::uint64_t, trace::Span>>
                      &spans,
                  std::vector<std::pair<std::uint64_t, trace::RpcEdge>>
                      &edges)
 {
-    const std::string kind = tagString(sp, "span.kind");
+    const std::string_view kind = tags.str(kSpanKind);
     if (kind == "server") {
         trace::Span s;
         s.traceId = traceId;
-        const JsonValue *sid = sp.find("spanID");
-        s.spanId = sid ? parseHexId(sid->asString()) : 0;
-        s.parentSpanId = parentFromReferences(sp);
+        s.spanId = m.spanId ? parseHexId(m.spanId.asString()) : 0;
+        s.parentSpanId = parentFromReferences(m.references);
         s.service = service;
-        s.endpoint = static_cast<std::uint32_t>(
-            tagU64(sp, "ditto.endpoint"));
-        s.start = tagU64Str(sp, "ditto.start_ns");
-        s.end = tagU64Str(sp, "ditto.end_ns");
-        spans.push_back({tagU64(sp, "ditto.seq"), s});
+        s.endpoint = static_cast<std::uint32_t>(tags.u64(kEndpoint));
+        s.start = tags.dec(kStartNs);
+        s.end = tags.dec(kEndNs);
+        spans.push_back({tags.u64(kSeq), std::move(s)});
     } else if (kind == "client") {
         trace::RpcEdge e;
         e.traceId = traceId;
-        e.parentSpanId = parentFromReferences(sp);
+        e.parentSpanId = parentFromReferences(m.references);
         e.caller = service;
-        e.callee = tagString(sp, "peer.service");
-        e.endpoint = static_cast<std::uint32_t>(
-            tagU64(sp, "ditto.endpoint"));
-        e.requestBytes = static_cast<std::uint32_t>(
-            tagU64(sp, "ditto.request_bytes"));
-        e.responseBytes = static_cast<std::uint32_t>(
-            tagU64(sp, "ditto.response_bytes"));
-        e.deadlineNs = tagU64Str(sp, "ditto.deadline_ns");
-        edges.push_back({tagU64(sp, "ditto.seq"), e});
+        e.callee = tags.str(kPeerService);
+        e.endpoint = static_cast<std::uint32_t>(tags.u64(kEndpoint));
+        e.requestBytes =
+            static_cast<std::uint32_t>(tags.u64(kRequestBytes));
+        e.responseBytes =
+            static_cast<std::uint32_t>(tags.u64(kResponseBytes));
+        e.deadlineNs = tags.dec(kDeadlineNs);
+        edges.push_back({tags.u64(kSeq), std::move(e)});
     }
 }
 
 /** Outcome logs may ride on any span kind (native docs). */
 void
 collectOutcomeLogs(
-    const JsonValue &sp, std::uint64_t traceId,
-    const std::string &service,
+    JsonValue logs, std::uint64_t traceId, std::string_view service,
     std::vector<std::pair<std::uint64_t, trace::OutcomeEvent>>
         &outcomes)
 {
-    const JsonValue *logs = sp.find("logs");
-    if (!logs || !logs->isArray())
-        return;
-    for (const JsonValue &log : logs->items) {
-        const JsonValue *name = findTag(log, "fields", "event");
+    for (JsonValue log : logs.items()) {
+        const Tags fields(log.find("fields"));
         trace::OutcomeKind kindVal;
-        if (!name ||
-            !trace::outcomeKindFromName(name->asString(), kindVal))
+        if (!fields[kEvent] ||
+            !trace::outcomeKindFromName(std::string(fields.str(kEvent)),
+                                        kindVal))
             continue;
         trace::OutcomeEvent ev;
         ev.traceId = traceId;
         ev.service = service;
         ev.kind = kindVal;
-        const JsonValue *v = findTag(log, "fields", "ditto.target");
-        ev.target = static_cast<std::uint32_t>(v ? v->asU64() : 0);
-        v = findTag(log, "fields", "ditto.endpoint");
-        ev.endpoint = static_cast<std::uint32_t>(v ? v->asU64() : 0);
-        v = findTag(log, "fields", "ditto.attempts");
-        ev.attempts = static_cast<unsigned>(v ? v->asU64() : 0);
-        v = findTag(log, "fields", "ditto.time_ns");
-        ev.time = v ? parseDec(v->asString()) : 0;
-        v = findTag(log, "fields", "ditto.cause");
-        ev.cause = v ? v->asString() : std::string{};
-        v = findTag(log, "fields", "ditto.seq");
-        outcomes.push_back({v ? v->asU64() : 0, ev});
+        ev.target = static_cast<std::uint32_t>(fields.u64(kTarget));
+        ev.endpoint = static_cast<std::uint32_t>(fields.u64(kEndpoint));
+        ev.attempts = static_cast<unsigned>(fields.u64(kAttempts));
+        ev.time = fields.dec(kTimeNs);
+        ev.cause = fields.str(kCause);
+        outcomes.push_back({fields.u64(kSeq), std::move(ev)});
     }
 }
 
@@ -859,18 +949,17 @@ importJaegerJson(const std::string &text, const ImportOptions &opts,
     rep = ImportReport{};
     Ingest ing(opts, rep);
 
-    const JsonValue root = parseJson(text);
+    const JsonDocument doc = parseJson(text);
+    const JsonValue root = doc.root();
     // Our own exports always carry dittoMeta; its absence marks a
     // foreign document and routes it to the tolerant pipeline.
-    const JsonValue *meta = root.find("dittoMeta");
-    const bool native = meta != nullptr;
+    const JsonValue meta = root.find("dittoMeta");
+    const bool native = static_cast<bool>(meta);
     double sampleRate = 1.0;
-    if (native) {
-        if (const JsonValue *r = meta->find("sampleRate"))
-            sampleRate = r->asDouble();
-    }
-    const JsonValue *data = root.find("data");
-    if (!data || !data->isArray())
+    if (const JsonValue r = meta.find("sampleRate"))
+        sampleRate = r.asDouble();
+    const JsonValue data = root.find("data");
+    if (!data.isArray())
         throw std::runtime_error("jaeger: missing data array");
 
     std::vector<std::pair<std::uint64_t, trace::Span>> spans;
@@ -880,43 +969,38 @@ importJaegerJson(const std::string &text, const ImportOptions &opts,
     std::vector<trace::Span> foreignSpans;
     std::vector<trace::RpcEdge> foreignEdges;
 
-    for (const JsonValue &tr : data->items) {
+    for (JsonValue tr : data.items()) {
         ++rep.traces;
-        const JsonValue *procs = tr.find("processes");
-        std::map<std::string, std::string> pidToService;
-        if (procs && procs->isObject()) {
-            for (const auto &[p, v] : procs->members) {
-                const JsonValue *n = v.find("serviceName");
-                pidToService[p] = n ? n->asString() : std::string{};
-            }
-        }
+        const Processes processes = processTable(tr.find("processes"));
         if (!native) {
-            importForeignTrace(tr, pidToService, ing, rep,
+            importForeignTrace(tr, processes, ing, rep,
                                rep.endpointNames, foreignSpans,
                                foreignEdges);
             continue;
         }
-        const JsonValue *spanArr = tr.find("spans");
-        if (!spanArr || !spanArr->isArray())
+        const JsonValue spanArr = tr.find("spans");
+        if (!spanArr.isArray())
             throw std::runtime_error("jaeger: trace without spans");
-        for (const JsonValue &sp : spanArr->items) {
-            const JsonValue *tid = sp.find("traceID");
-            const JsonValue *pidv = sp.find("processID");
-            if (!tid || !pidv)
+        for (JsonValue sp : spanArr.items()) {
+            const SpanMembers m(sp);
+            if (!m.traceId || !m.processId)
                 throw std::runtime_error(
                     "jaeger: span missing traceID/processID");
             const std::uint64_t traceId =
-                parseHexId(tid->asString());
-            const auto pit = pidToService.find(pidv->asString());
-            if (pit == pidToService.end()) {
+                parseHexId(m.traceId.asString());
+            const auto service = processes.find(m.processId.asString());
+            if (service == processes.end()) {
                 ing.defect(rep.unknownProcessSpans,
                            "span in trace " + hex16(traceId) +
                                " references unknown processID \"" +
-                               pidv->asString() + "\"");
+                               std::string(m.processId.asString()) +
+                               "\"");
                 continue;  // lenient: skip the span
             }
-            importNativeSpan(sp, traceId, pit->second, spans, edges);
-            collectOutcomeLogs(sp, traceId, pit->second, outcomes);
+            importNativeSpan(m, Tags(m.tags), traceId, service->second,
+                             spans, edges);
+            collectOutcomeLogs(m.logs, traceId, service->second,
+                               outcomes);
         }
     }
 
@@ -956,12 +1040,17 @@ trace::Tracer
 readJaegerJsonFile(const std::string &path, const ImportOptions &opts,
                    ImportReport *report)
 {
-    std::ifstream is(path, std::ios::binary);
+    std::ifstream is(path, std::ios::binary | std::ios::ate);
     if (!is)
         throw std::runtime_error("jaeger: cannot open " + path);
-    std::ostringstream ss;
-    ss << is.rdbuf();
-    return importJaegerJson(ss.str(), opts, report);
+    const std::streamoff size = is.tellg();
+    if (size < 0)
+        throw std::runtime_error("jaeger: cannot read " + path);
+    std::string text(static_cast<std::size_t>(size), '\0');
+    is.seekg(0);
+    if (!is.read(text.data(), static_cast<std::streamsize>(text.size())))
+        throw std::runtime_error("jaeger: short read from " + path);
+    return importJaegerJson(text, opts, report);
 }
 
 trace::Tracer

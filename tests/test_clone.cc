@@ -5,11 +5,12 @@
  * runnable clone, and closing the loop -- run, re-export, re-analyze,
  * diff (Ditto Sec. 4.2 applied to a system we do not control).
  *
- * Also the malformed-Jaeger corpus: every named foreign-import defect
- * (duplicate spanID, missing parent, zero/negative duration, unknown
- * processID, calleeless client span, bad hex ids, timestamp overflow)
- * must either throw its named error in strict mode or be repaired and
- * tallied in lenient mode -- never silently dropped.
+ * Also the malformed-Jaeger corpus (jaeger_corpus.h): every named
+ * foreign-import defect (duplicate spanID, missing parent,
+ * zero/negative duration, unknown processID, calleeless client span,
+ * bad hex ids, timestamp overflow, non-digit decimal tags) must either
+ * throw its named error in strict mode or be repaired and tallied in
+ * lenient mode -- never silently dropped.
  *
  * The CloneDeterminism.* cases re-run closures on a RunExecutor at
  * --jobs 1 and 4 and require byte-identical reports; the ctest alias
@@ -20,18 +21,21 @@
 #include <functional>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "clone/foreign_fixture.h"
 #include "clone/trace_clone.h"
+#include "jaeger_corpus.h"
 #include "obs/jaeger.h"
 #include "sim/run_executor.h"
 
 namespace {
 
 using namespace ditto;
+using jaeger_corpus::get;
 
 const profile::EdgeProfile *
 findEdge(const core::Topology &topo, const std::string &caller,
@@ -57,43 +61,6 @@ expectEdge(const core::Topology &topo, const std::string &caller,
         << caller << "->" << callee;
     EXPECT_DOUBLE_EQ(e->avgResponseBytes, respBytes)
         << caller << "->" << callee;
-}
-
-// ---- malformed-corpus builders ------------------------------------
-
-/** A one-trace foreign document (no dittoMeta) around `spans`. */
-std::string
-doc(const std::string &spans, const std::string &processes =
-                                  "\"p1\": {\"serviceName\": \"alpha\"}, "
-                                  "\"p2\": {\"serviceName\": \"beta\"}")
-{
-    return "{\"data\": [{\"traceID\": \"0000000000000abc\", "
-           "\"spans\": [" +
-           spans + "], \"processes\": {" + processes + "}}]}";
-}
-
-/** One span object; parent/kind/tags are optional. */
-std::string
-span(const std::string &sid, const std::string &op,
-     const std::string &parent, const std::string &startUs,
-     const std::string &durUs, const std::string &pid,
-     const std::string &kind = "server",
-     const std::string &extraTags = "")
-{
-    std::string tags = "{\"key\": \"span.kind\", \"type\": "
-                       "\"string\", \"value\": \"" +
-        kind + "\"}";
-    if (!extraTags.empty())
-        tags += ", " + extraTags;
-    std::string refs;
-    if (!parent.empty())
-        refs = "\"references\": [{\"refType\": \"CHILD_OF\", "
-               "\"traceID\": \"0000000000000abc\", \"spanID\": \"" +
-            parent + "\"}], ";
-    return "{\"traceID\": \"0000000000000abc\", \"spanID\": \"" + sid +
-        "\", \"operationName\": \"" + op + "\", " + refs +
-        "\"startTime\": " + startUs + ", \"duration\": " + durUs +
-        ", \"tags\": [" + tags + "], \"processID\": \"" + pid + "\"}";
 }
 
 /** Expect a strict import to throw a message containing `needle`. */
@@ -294,10 +261,7 @@ TEST(CloneDeterminism, ReportsIdenticalAtJobs1And4)
 
 TEST(CloneImportErrors, DuplicateSpanId)
 {
-    const std::string d =
-        doc(span("0000000000000001", "op", "", "1000", "50", "p1") +
-            ", " +
-            span("0000000000000001", "op", "", "2000", "60", "p1"));
+    const std::string d = get("duplicate-span-id");
     expectStrictError(d, "duplicate spanID 0000000000000001");
 
     obs::ImportOptions lenient;
@@ -313,9 +277,7 @@ TEST(CloneImportErrors, DuplicateSpanId)
 
 TEST(CloneImportErrors, MissingParentReparentsToRoot)
 {
-    const std::string d = doc(span("0000000000000002", "op",
-                                   "00000000000000ff", "1000", "50",
-                                   "p1"));
+    const std::string d = get("missing-parent");
     expectStrictError(d, "references missing parent 00000000000000ff");
 
     obs::ImportOptions lenient;
@@ -329,8 +291,7 @@ TEST(CloneImportErrors, MissingParentReparentsToRoot)
 
 TEST(CloneImportErrors, ZeroDurationServerSpan)
 {
-    const std::string d =
-        doc(span("0000000000000003", "op", "", "1000", "0", "p1"));
+    const std::string d = get("zero-duration");
     expectStrictError(d, "zero-duration span 0000000000000003");
 
     obs::ImportOptions lenient;
@@ -343,8 +304,7 @@ TEST(CloneImportErrors, ZeroDurationServerSpan)
 
 TEST(CloneImportErrors, NegativeDurationAndStartTime)
 {
-    const std::string negDur =
-        doc(span("0000000000000004", "op", "", "1000", "-5", "p1"));
+    const std::string negDur = get("negative-duration");
     expectStrictError(negDur, "has negative duration");
 
     obs::ImportOptions lenient;
@@ -359,8 +319,7 @@ TEST(CloneImportErrors, NegativeDurationAndStartTime)
     ASSERT_EQ(t.spans().size(), 1u);
     EXPECT_EQ(t.spans()[0].end, t.spans()[0].start);
 
-    const std::string negStart =
-        doc(span("0000000000000005", "op", "", "-1.5", "50", "p1"));
+    const std::string negStart = get("negative-start");
     expectStrictError(negStart, "has negative startTime");
     obs::ImportReport rep2;
     const trace::Tracer t2 =
@@ -372,10 +331,7 @@ TEST(CloneImportErrors, NegativeDurationAndStartTime)
 
 TEST(CloneImportErrors, UnknownProcessId)
 {
-    const std::string d =
-        doc(span("0000000000000006", "op", "", "1000", "50", "p9") +
-            ", " +
-            span("0000000000000007", "op", "", "2000", "60", "p1"));
+    const std::string d = get("unknown-process-id");
     expectStrictError(d, "unknown processID \"p9\"");
 
     obs::ImportOptions lenient;
@@ -391,11 +347,7 @@ TEST(CloneImportErrors, CalleelessClientSpan)
 {
     // A client span with neither a child server span nor a
     // peer.service tag: the edge's callee is unrecoverable.
-    const std::string d =
-        doc(span("0000000000000008", "op", "", "1000", "500", "p1") +
-            ", " +
-            span("0000000000000009", "call", "0000000000000008",
-                 "1100", "50", "p1", "client"));
+    const std::string d = get("calleeless-client-span");
     expectStrictError(d, "neither a child server span nor");
 
     obs::ImportOptions lenient;
@@ -409,8 +361,7 @@ TEST(CloneImportErrors, CalleelessClientSpan)
 
 TEST(CloneImportErrors, BadHexIdAlwaysThrows)
 {
-    const std::string d =
-        doc(span("not-hex-at-all", "op", "", "1000", "50", "p1"));
+    const std::string d = get("bad-hex-id");
     expectStrictError(d, "bad hex id");
     obs::ImportOptions lenient;
     lenient.lenient = true;
@@ -422,9 +373,7 @@ TEST(CloneImportErrors, BadHexIdAlwaysThrows)
 TEST(CloneImportErrors, TimestampOverflow)
 {
     // 2^64-1 microseconds does not fit u64 nanoseconds.
-    const std::string d = doc(span("000000000000000a", "op", "",
-                                   "18446744073709551615", "50",
-                                   "p1"));
+    const std::string d = get("timestamp-overflow");
     expectStrictError(d, "startTime overflows");
     obs::ImportOptions lenient;
     lenient.lenient = true;
@@ -436,26 +385,17 @@ TEST(CloneImportErrors, MalformedNumbersRejectedByParser)
 {
     // The hardened JSON number grammar backs the importer: malformed
     // tokens die in the parser with named errors, never as NaNs.
-    expectStrictError(doc(span("000000000000000b", "op", "", "1.2.3",
-                               "50", "p1")),
-                      "json");
-    expectStrictError(doc(span("000000000000000c", "op", "", "0123",
-                               "50", "p1")),
-                      "json");
-    expectStrictError(doc(span("000000000000000d", "op", "", "1.",
-                               "50", "p1")),
-                      "json");
-    expectStrictError(doc(span("000000000000000e", "op", "", "1e",
-                               "50", "p1")),
-                      "json");
+    expectStrictError(get("number-two-points"), "json");
+    expectStrictError(get("number-leading-zero"), "json");
+    expectStrictError(get("number-empty-fraction"), "json");
+    expectStrictError(get("number-empty-exponent"), "json");
 }
 
 TEST(CloneImportErrors, FloatMicrosecondsConvertLosslessly)
 {
     // 1000.125us -> 1000125ns and 123.456us -> 123456ns, exactly:
     // the conversion works on the source literal, not a double.
-    const std::string d = doc(span("000000000000000f", "op", "",
-                                   "1000.125", "123.456", "p1"));
+    const std::string d = get("float-micros");
     const trace::Tracer t = obs::importJaegerJson(d);
     ASSERT_EQ(t.spans().size(), 1u);
     EXPECT_EQ(t.spans()[0].start, 1000125u);
@@ -464,13 +404,30 @@ TEST(CloneImportErrors, FloatMicrosecondsConvertLosslessly)
     // Near-max durations survive exactly too (the conversion's
     // overflow guard reserves one ns of headroom for rounding, so
     // the last representable value is u64 max minus the reserve).
-    const std::string big = doc(span("0000000000000010", "op", "",
-                                     "0", "18446744073709550.999",
-                                     "p1"));
+    const std::string big = get("float-micros-near-max");
     const trace::Tracer t2 = obs::importJaegerJson(big);
     ASSERT_EQ(t2.spans().size(), 1u);
     EXPECT_EQ(t2.spans()[0].start, 0u);
     EXPECT_EQ(t2.spans()[0].end, 18446744073709550999ull);
+}
+
+TEST(CloneImportErrors, DecimalTagsAreDigitsOnly)
+{
+    // strtoull would read "-1" as 2^64-1, skip the space in " 12" and
+    // the sign in "+5"; each imported silently as a wrong timestamp.
+    // A ditto.*_ns tag is digits only, in either mode.
+    obs::ImportOptions lenient;
+    lenient.lenient = true;
+    for (const auto &[name, value] :
+         {std::pair{"ns-tag-negative", "\"-1\""},
+          std::pair{"ns-tag-space", "\" 12\""},
+          std::pair{"ns-tag-plus", "\"+5\""}}) {
+        const std::string d = get(name);
+        expectStrictError(d, std::string("bad decimal tag ") + value);
+        EXPECT_THROW(obs::importJaegerJson(d, lenient, nullptr),
+                     std::runtime_error)
+            << name;
+    }
 }
 
 TEST(CloneImportErrors, LenientFixtureMatchesStrict)

@@ -1,9 +1,9 @@
 /**
  * @file
- * Tests for the observability layer: the mini JSON parser, the
- * Jaeger-JSON trace exporter/importer round trip, the metrics
- * registry and its writers, and byte-identical export at any
- * RunExecutor worker count.
+ * Tests for the observability layer: the Jaeger-JSON trace
+ * exporter/importer round trip, the metrics registry and its
+ * writers, and byte-identical export at any RunExecutor worker
+ * count. The JSON parser's own tests are in test_json.cc.
  *
  * These tests carry the `obs` and `parallel` ctest labels, so both
  * `ctest -L obs` and a -DDITTO_TSAN=ON `ctest -L parallel` run them.
@@ -32,45 +32,6 @@
 namespace {
 
 using namespace ditto;
-
-// ---------------------------------------------------------------------------
-// JSON parser
-// ---------------------------------------------------------------------------
-
-TEST(Json, ParsesScalarsObjectsAndArrays)
-{
-    const auto v = obs::parseJson(
-        R"({"a": 1, "b": -2.5, "c": "x", "d": [true, false, null],)"
-        R"( "e": {"nested": 18446744073709551615}})");
-    ASSERT_TRUE(v.isObject());
-    EXPECT_EQ(v.find("a")->asU64(), 1u);
-    EXPECT_DOUBLE_EQ(v.find("b")->asDouble(), -2.5);
-    EXPECT_EQ(v.find("c")->asString(), "x");
-    ASSERT_TRUE(v.find("d")->isArray());
-    EXPECT_EQ(v.find("d")->items.size(), 3u);
-    EXPECT_TRUE(v.find("d")->items[0].boolean);
-    // u64 values parse losslessly (no double round trip).
-    EXPECT_EQ(v.find("e")->find("nested")->asU64(), UINT64_MAX);
-}
-
-TEST(Json, StringEscapingRoundTrips)
-{
-    const std::string nasty = "a\"b\\c\nd\te\x01f";
-    std::string doc = "{\"k\":";
-    obs::appendJsonString(doc, nasty);
-    doc += "}";
-    const auto v = obs::parseJson(doc);
-    EXPECT_EQ(v.find("k")->asString(), nasty);
-}
-
-TEST(Json, ThrowsOnMalformedInput)
-{
-    EXPECT_THROW(obs::parseJson("{"), std::runtime_error);
-    EXPECT_THROW(obs::parseJson("[1,]"), std::runtime_error);
-    EXPECT_THROW(obs::parseJson("{\"a\":1} trailing"),
-                 std::runtime_error);
-    EXPECT_THROW(obs::parseJson("nul"), std::runtime_error);
-}
 
 // ---------------------------------------------------------------------------
 // Shared fanout world: front -> {mid, cache}, mid -> back.
@@ -381,18 +342,18 @@ TEST(Metrics, OwnedInstrumentsAndWriters)
               std::string::npos);
 
     // The JSON snapshot parses with our own parser and agrees.
-    const auto snap = obs::parseJson(reg.jsonText());
+    const auto doc = obs::parseJson(reg.jsonText());
+    const obs::JsonValue snap = doc.root();
     EXPECT_EQ(snap.find("counters")
-                  ->find("ditto_test_ops_total{service=\"a\"}")
-                  ->asU64(),
+                  .find("ditto_test_ops_total{service=\"a\"}")
+                  .asU64(),
               42u);
     EXPECT_DOUBLE_EQ(
-        snap.find("gauges")->find("ditto_test_depth")->asDouble(),
-        2.5);
+        snap.find("gauges").find("ditto_test_depth").asDouble(), 2.5);
     EXPECT_EQ(snap.find("summaries")
-                  ->find("ditto_test_latency_ns")
-                  ->find("count")
-                  ->asU64(),
+                  .find("ditto_test_latency_ns")
+                  .find("count")
+                  .asU64(),
               2u);
 }
 
@@ -436,12 +397,12 @@ TEST(Metrics, DeploymentRegistrationMatchesGroundTruth)
     w.run();
 
     const auto snap = obs::parseJson(w.registry.jsonText());
-    const auto *counters = snap.find("counters");
-    ASSERT_NE(counters, nullptr);
+    const obs::JsonValue counters = snap.root().find("counters");
+    ASSERT_TRUE(counters);
 
     const auto counter = [&](const std::string &key) {
-        const auto *v = counters->find(key);
-        return v ? v->asU64() : ~0ull;
+        const obs::JsonValue v = counters.find(key);
+        return v ? v.asU64() : ~0ull;
     };
 
     for (const auto &svc : w.dep.services()) {
