@@ -177,8 +177,9 @@ cloneSingleTier(const AppCase &app, sim::RunExecutor &executor)
 }
 
 core::TopologyCloneResult
-cloneSocialNetwork(std::uint64_t seed, sim::RunExecutor *executor)
+cloneSocialNetwork(sim::RunExecutor &executor)
 {
+    const std::uint64_t seed = 80;
     app::Deployment dep(seed);
     os::Machine &machine = dep.addMachine("node", hw::platformA());
     const auto tiers = apps::socialNetworkSpecs();
@@ -195,7 +196,7 @@ cloneSocialNetwork(std::uint64_t seed, sim::RunExecutor *executor)
 
     core::CloneOptions opts;
     opts.fineTune = true;  // per-tier calibration in sandboxes
-    opts.executor = executor;
+    opts.executor = &executor;
     opts.maxTuneIterations = 4;
     opts.tuneTolerance = 0.08;
     opts.tuneWarmup = sim::milliseconds(100);

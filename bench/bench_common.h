@@ -5,10 +5,10 @@
  * A figure bench deploys originals, clones them with Ditto,
  * re-deploys the clones, measures both under identical load, and
  * prints the rows/series the paper plots (`bench_paper` does so for
- * six figures from one clone set). Absolute numbers come from the machine
- * model, not the authors' Xeons; the *shape* (who wins, crossovers,
- * relative degradations) is the reproduction target (see
- * EXPERIMENTS.md).
+ * Figs. 5-11 and a fault study from one clone set). Absolute numbers
+ * come from the machine model, not the authors' Xeons; the *shape*
+ * (who wins, crossovers, relative degradations) is the reproduction
+ * target (see EXPERIMENTS.md).
  */
 
 #ifndef DITTO_BENCH_BENCH_COMMON_H_
@@ -132,10 +132,11 @@ SnRunResult runSocialNetwork(const std::vector<app::ServiceSpec> &tiers,
 core::CloneResult cloneSingleTier(const AppCase &app,
                                   sim::RunExecutor &executor);
 
-/** Clone the whole Social Network (profiled at medium load). */
-core::TopologyCloneResult
-cloneSocialNetwork(std::uint64_t seed = 80,
-                   sim::RunExecutor *executor = nullptr);
+/**
+ * Clone the whole Social Network (profiled at medium load), tuning
+ * candidates on `executor`.
+ */
+core::TopologyCloneResult cloneSocialNetwork(sim::RunExecutor &executor);
 
 /** The Social Network load spec translated for the cloned tiers. */
 workload::LoadSpec socialCloneLoad(double qps);

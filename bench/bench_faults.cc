@@ -1,17 +1,18 @@
 /**
  * @file
- * Fidelity under faults.
+ * Fidelity under faults: `bench_paper`'s section after Fig. 11.
  *
- * The paper validates Ditto clones under *steady* load; this bench
+ * The paper validates Ditto clones under *steady* load; this section
  * asks whether a clone also stands in for the original when things
- * go wrong. It deploys the Social Network original and its Ditto
- * clone, arms both with identical resilience policies (RPC deadlines,
- * retries, circuit breaking) and a client-side timeout, then replays
- * the *same seeded FaultPlan* against each: a mid-tier crash/restart,
- * a lossy+slow client link, and a disk slowdown. For every scenario
- * it reports p50/p99/p999 client latency, achieved qps vs goodput,
- * and timeout/error rates, plus the original-vs-clone deviation of
- * each -- the fidelity-under-faults score.
+ * go wrong. It deploys the Social Network original and the clone
+ * Figs. 5-8 evaluate, arms both with identical resilience policies
+ * (RPC deadlines, retries, circuit breaking) and a client-side
+ * timeout, then replays the *same seeded FaultPlan* against each: a
+ * mid-tier crash/restart, a lossy+slow client link, and a disk
+ * slowdown. For every scenario it reports p50/p99/p999 client
+ * latency, achieved qps vs goodput, and timeout/error rates, plus the
+ * original-vs-clone deviation of each -- the fidelity-under-faults
+ * score.
  *
  * Sanity: scenario "none" installs an *empty* FaultPlan through a
  * live FaultInjector and must match a run with no injector at all,
@@ -22,13 +23,12 @@
  * on the RunExecutor and join in submission order.
  */
 
-#include <cstdlib>
 #include <functional>
 #include <iostream>
 #include <string>
 #include <vector>
 
-#include "bench/bench_common.h"
+#include "bench/paper.h"
 #include "fault/fault_injector.h"
 #include "fault/fault_plan.h"
 #include "workload/loadgen.h"
@@ -214,14 +214,9 @@ relDev(double clone, double orig)
 
 } // namespace
 
-int
-main(int argc, char **argv)
+bool
+ditto::bench::faults(const PaperClones &clones, sim::RunExecutor &ex)
 {
-    using namespace ditto;
-
-    ditto::bench::BenchRuntime rt(argc, argv, "bench_faults");
-    sim::RunExecutor &ex = rt.executor();
-
     // ---- zero-cost check: empty plan == no injector ------------------
     const auto origTiers = apps::socialNetworkSpecs();
     const std::string origRoot = apps::socialNetworkFrontend();
@@ -251,12 +246,9 @@ main(int argc, char **argv)
     std::cout << "empty FaultPlan vs no injector: "
               << (zeroCost ? "IDENTICAL" : "DIVERGED (BUG)") << "\n";
 
-    // ---- clone the social network ------------------------------------
-    std::cout << "cloning social network...\n";
-    const core::TopologyCloneResult clone =
-        ditto::bench::cloneSocialNetwork(kSeed, &ex);
-    workload::LoadSpec cloneLoad =
-        ditto::bench::socialCloneLoad(snLoad.mediumQps * 0.6);
+    // ---- original vs clone under each scenario -----------------------
+    const core::TopologyCloneResult &clone = clones.socialNetwork;
+    workload::LoadSpec cloneLoad = socialCloneLoad(snLoad.mediumQps * 0.6);
     cloneLoad.timeout = load.timeout;
 
     const app::ResilienceSpec res = benchResilience();
@@ -298,12 +290,9 @@ main(int argc, char **argv)
         accountingOk = accountingOk && orig.accounted && syn.accounted;
 
         auto addRow = [&](const char *tag, const FaultRunResult &r) {
-            table.addRow({scenario.name, tag,
-                          ditto::bench::cell(r.p50us, 1),
-                          ditto::bench::cell(r.p99us, 1),
-                          ditto::bench::cell(r.p999us, 1),
-                          ditto::bench::cell(r.achievedQps, 0),
-                          ditto::bench::cell(r.goodput, 0),
+            table.addRow({scenario.name, tag, cell(r.p50us, 1),
+                          cell(r.p99us, 1), cell(r.p999us, 1),
+                          cell(r.achievedQps, 0), cell(r.goodput, 0),
                           stats::formatPercent(r.timeoutRate, 2),
                           stats::formatPercent(r.errorRate, 2)});
         };
@@ -317,12 +306,9 @@ main(int argc, char **argv)
                          relDev(syn.p99us, orig.p99us), 1),
                      stats::formatPercent(
                          relDev(syn.p999us, orig.p999us), 1),
-                     ditto::bench::cell(
-                         100.0 * (syn.timeoutRate - orig.timeoutRate),
-                         2),
-                     ditto::bench::cell(
-                         100.0 * (syn.errorRate - orig.errorRate),
-                         2)});
+                     cell(100.0 * (syn.timeoutRate - orig.timeoutRate),
+                          2),
+                     cell(100.0 * (syn.errorRate - orig.errorRate), 2)});
     }
 
     stats::printBanner(std::cout,
@@ -352,8 +338,8 @@ main(int argc, char **argv)
         ", \"shed\": " + std::to_string(mix.shedCount) +
         ", \"cancelled\": " + std::to_string(mix.cancelledCount) +
         ", \"hedge_won\": " + std::to_string(mix.hedgeWonCount) + "}";
-    ditto::bench::recordBenchEntry("bench_faults_outcomes", mixJson);
+    recordBenchEntry("paper_faults_outcomes", mixJson);
     std::cout << "outcome mix (all faulted runs): " << mixJson << "\n";
 
-    return zeroCost && accountingOk ? EXIT_SUCCESS : EXIT_FAILURE;
+    return zeroCost && accountingOk;
 }

@@ -1,13 +1,15 @@
 /**
  * @file
- * Figs. 5-11 from one clone set (bench/paper.h).
+ * Figs. 5-11 and the fault study from one clone set (bench/paper.h).
  * stderr and BENCH_pipeline.json get the wall-clock of the clone
- * stage (`paper_clones`), of each figure (`paper_fig5` ...) and of
- * the whole run (`bench_paper`); stdout carries no time.
+ * stage (`paper_clones`), of each section (`paper_fig5` ...
+ * `paper_faults`) and of the whole run (`bench_paper`); stdout
+ * carries no time. Exits 1 when the fault study's self-checks fail.
  */
 
 #include <chrono>
 #include <cstdio>
+#include <cstdlib>
 #include <functional>
 #include <iostream>
 
@@ -37,7 +39,7 @@ main(int argc, char **argv)
     PaperClones clones;
     stage("paper_clones", [&] {
         auto snFuture =
-            ex.submit([&ex] { return cloneSocialNetwork(80, &ex); });
+            ex.submit([&ex] { return cloneSocialNetwork(ex); });
         std::vector<std::function<AppClone()>> tasks;
         for (const AppCase &app : singleTierApps()) {
             tasks.push_back([app, &ex] {
@@ -55,5 +57,7 @@ main(int argc, char **argv)
     stage("paper_fig9", [&] { fig9(clones, medium, ex); });
     stage("paper_fig10", [&] { fig10(clones, ex); });
     stage("paper_fig11", [&] { fig11(clones, ex); });
-    return 0;
+    bool faultsOk = false;
+    stage("paper_faults", [&] { faultsOk = faults(clones, ex); });
+    return faultsOk ? EXIT_SUCCESS : EXIT_FAILURE;
 }

@@ -106,7 +106,7 @@ runRegionCase(unsigned servingRegions)
     front.name = "front";
     front.threads.workers = 8;
     front.downstreams.push_back("api");
-    front.balancing.defaultPolicy = cluster::BalancerPolicy::PreferLocal;
+    front.balancing.policy = cluster::BalancerPolicy::PreferLocal;
     front.resilience.rpcDeadline = sim::milliseconds(4);
     front.resilience.retry.maxAttempts = 2;
     front.resilience.retry.baseBackoff = sim::microseconds(200);

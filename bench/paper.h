@@ -1,10 +1,10 @@
 /**
  * @file
- * The figures `bench_paper` evaluates from one clone set: as in the
+ * The sections `bench_paper` evaluates from one clone set: as in the
  * paper, each app is profiled and cloned once, on Platform A at
- * medium load, and that clone is then deployed everywhere. Each
- * function prints its figure's section; runs join in submission
- * order, so stdout is identical at any `--jobs`.
+ * medium load, and that clone is then deployed everywhere, Figs. 5-11
+ * and the fault study alike. Each function prints its section; runs
+ * join in submission order, so stdout is identical at any `--jobs`.
  */
 
 #ifndef DITTO_BENCH_PAPER_H_
@@ -69,6 +69,13 @@ void fig9(const PaperClones &clones, const MediumLoadRuns &medium,
           sim::RunExecutor &ex);
 void fig10(const PaperClones &clones, sim::RunExecutor &ex);
 void fig11(const PaperClones &clones, sim::RunExecutor &ex);
+
+/**
+ * The Social Network original and clone under injected faults
+ * (bench_faults.cc). Returns false when an empty FaultPlan diverges
+ * from a run with no injector or a run's message accounting fails.
+ */
+bool faults(const PaperClones &clones, sim::RunExecutor &ex);
 
 } // namespace ditto::bench
 

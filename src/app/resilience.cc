@@ -87,15 +87,4 @@ CircuitBreaker::onFailure(sim::Time now)
     }
 }
 
-const char *
-breakerStateName(CircuitBreaker::State state)
-{
-    switch (state) {
-      case CircuitBreaker::State::Closed: return "closed";
-      case CircuitBreaker::State::Open: return "open";
-      case CircuitBreaker::State::HalfOpen: return "half-open";
-    }
-    return "?";
-}
-
 } // namespace ditto::app

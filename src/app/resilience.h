@@ -123,9 +123,6 @@ class CircuitBreaker
     void trip(sim::Time now);
 };
 
-/** Human-readable breaker state name. */
-const char *breakerStateName(CircuitBreaker::State state);
-
 /**
  * Hedged-request policy for downstream RPC edges (BigTable/Dynamo
  * style tail-latency hedging): when the first attempt has not

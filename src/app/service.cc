@@ -72,23 +72,6 @@ checkRefs(const ServiceSpec &spec, const Program &prog,
 
 } // namespace
 
-std::string_view
-sysKindName(SysKind kind)
-{
-    switch (kind) {
-      case SysKind::SocketRead: return "read";
-      case SysKind::SocketWrite: return "write";
-      case SysKind::EpollWait: return "epoll_wait";
-      case SysKind::Pread: return "pread";
-      case SysKind::Pwrite: return "pwrite";
-      case SysKind::FutexWait: return "futex_wait";
-      case SysKind::FutexWake: return "futex_wake";
-      case SysKind::Nanosleep: return "nanosleep";
-      case SysKind::Clone: return "clone";
-    }
-    return "?";
-}
-
 void
 ServiceStats::reset(sim::Time now)
 {
@@ -443,7 +426,7 @@ ServiceInstance::wire(const ServiceResolver &resolver)
         }
         downstreamGroups_.push_back(group);
         balancers_[edge].init(
-            spec_.balancing.policyFor(name), group.size(),
+            spec_.balancing.policy, group.size(),
             seed_ ^ (0x9e3779b97f4a7c15ull * (edge + 1)));
         edge++;
     }

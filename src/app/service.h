@@ -72,9 +72,6 @@ enum class SysKind : std::uint8_t
     Clone,
 };
 
-/** Human-readable syscall name. */
-std::string_view sysKindName(SysKind kind);
-
 /** Thread roles, for the thread-model analyzer. */
 enum class ThreadRole : std::uint8_t
 {

@@ -97,7 +97,7 @@ struct ChaosWorld
         if (cfg.regions > 0) {
             // Hedge-locality under test: the root only crosses
             // regions when no local replica is usable.
-            topo.specs[0].balancing.defaultPolicy =
+            topo.specs[0].balancing.policy =
                 cluster::BalancerPolicy::PreferLocal;
         }
         for (std::size_t i = 0; i < topo.specs.size(); ++i) {
@@ -470,13 +470,13 @@ OutcomeMix::operator+=(const OutcomeMix &o)
 fault::FaultPlan
 generateRandomPlan(const ChaosConfig &cfg, std::uint64_t planSeed)
 {
+    // Faults per plan, drawn uniformly from [kMinFaults, kMaxFaults].
+    constexpr unsigned kMinFaults = 1;
+    constexpr unsigned kMaxFaults = 5;
     sim::Rng rng(planSeed ^ 0xd1770c4a05ull);
     fault::FaultPlan plan;
-    const unsigned span =
-        cfg.maxFaults > cfg.minFaults ? cfg.maxFaults - cfg.minFaults
-                                      : 0;
-    const unsigned count = cfg.minFaults +
-        static_cast<unsigned>(rng.uniformInt(span + 1));
+    const unsigned count = kMinFaults +
+        static_cast<unsigned>(rng.uniformInt(kMaxFaults - kMinFaults + 1));
     // Region kinds only join the sampling space in region worlds, so
     // a regions == 0 campaign draws exactly the pre-region sequence.
     const std::uint64_t kinds = cfg.regions > 0 ? 9 : 6;
@@ -562,6 +562,8 @@ generateRandomPlan(const ChaosConfig &cfg, std::uint64_t planSeed)
 PlanRunResult
 runPlan(const ChaosConfig &cfg, const fault::FaultPlan &plan)
 {
+    // Client deadline; cancellation chases fire on its expiry.
+    constexpr sim::Time kClientTimeout = sim::milliseconds(3);
     ChaosWorld w(cfg);
 
     std::unique_ptr<workload::Client> client;
@@ -574,8 +576,8 @@ runPlan(const ChaosConfig &cfg, const fault::FaultPlan &plan)
         ws.connections = cfg.connections;
         ws.arrivals.kind = workload::ArrivalKind::Mmpp;
         ws.session.meanThink = sim::milliseconds(1);
-        ws.classes[0].slo.deadline = cfg.clientTimeout;
-        ws.timeout = cfg.clientTimeout;
+        ws.classes[0].slo.deadline = kClientTimeout;
+        ws.timeout = kClientTimeout;
         ws.propagateDeadline = true;
         ws.cancelOnTimeout = true;
         if (cfg.overload) {
@@ -593,7 +595,7 @@ runPlan(const ChaosConfig &cfg, const fault::FaultPlan &plan)
         ls.qps = cfg.qps;
         ls.connections = cfg.connections;
         ls.openLoop = true;
-        ls.timeout = cfg.clientTimeout;
+        ls.timeout = kClientTimeout;
         ls.propagateDeadline = true;
         ls.cancelOnTimeout = true;
         client = std::make_unique<workload::LoadGen>(

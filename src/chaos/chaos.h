@@ -90,8 +90,6 @@ struct ChaosConfig
      * are byte-identical with the flag off.
      */
     bool overload = false;
-    /** Client deadline; cancellation chases fire on its expiry. */
-    sim::Time clientTimeout = sim::milliseconds(3);
     /** Load window (faults are sampled inside it). */
     sim::Time runFor = sim::milliseconds(25);
     /** Quiet tail for in-flight work to settle before checking. */
@@ -104,9 +102,6 @@ struct ChaosConfig
      * checkers run against.
      */
     bool prodShapes = false;
-    // ---- fault sampling ---------------------------------------------
-    unsigned minFaults = 1;
-    unsigned maxFaults = 5;
     // ---- fixtures / limits ------------------------------------------
     /** Test fixture: break the message-ledger checker (see @file). */
     bool plantLedgerBug = false;

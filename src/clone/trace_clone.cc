@@ -279,15 +279,6 @@ ingestTraceJson(const std::string &json, const IngestOptions &opts)
     return buildModel(tracer, std::move(rep));
 }
 
-TraceModel
-ingestTraceFile(const std::string &path, const IngestOptions &opts)
-{
-    obs::ImportReport rep;
-    const trace::Tracer tracer =
-        obs::readJaegerJsonFile(path, opts.import, &rep);
-    return buildModel(tracer, std::move(rep));
-}
-
 SynthesizedClone
 synthesizeClone(const TraceModel &model, const SynthesisOptions &opts)
 {

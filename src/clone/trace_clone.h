@@ -104,8 +104,6 @@ struct IngestOptions
 /** Stages 1+2: parse, validate, and model a Jaeger document. */
 TraceModel ingestTraceJson(const std::string &json,
                            const IngestOptions &opts = {});
-TraceModel ingestTraceFile(const std::string &path,
-                           const IngestOptions &opts = {});
 
 struct SynthesisOptions
 {

@@ -5,6 +5,13 @@
 
 namespace ditto::cluster {
 
+namespace {
+
+/** The autoscaler never retires the last replica. */
+constexpr std::size_t kMinReplicas = 1;
+
+} // namespace
+
 Autoscaler::Autoscaler(app::Deployment &dep, ReplicaSet &set,
                        obs::MetricsRegistry &metrics,
                        AutoscalerSpec spec)
@@ -41,23 +48,6 @@ Autoscaler::tick()
     const auto &group = dep_.replicas(set_.serviceId());
     const std::size_t active = set_.active();
 
-    // Window p95 across the group: merge the replicas' cumulative
-    // histograms and diff against the previous evaluation's merge.
-    stats::LatencyHistogram merged;
-    for (std::size_t i = 0; i < group.size(); ++i) {
-        const stats::LatencyHistogram *h = metrics_.findHistogram(
-            "ditto_service_request_latency_ns",
-            {{"service", group[i]->instanceLabel()}});
-        if (h)
-            merged.merge(*h);
-        else
-            merged.merge(group[i]->stats().latency);
-    }
-    const stats::LatencyHistogram window = merged.since(baseline_);
-    baseline_ = merged;
-    const bool windowValid = window.count() >= spec_.minWindowSamples;
-    const std::uint64_t p95 = window.percentile(0.95);
-
     double queueSum = 0.0;
     for (std::size_t i = 0; i < active && i < group.size(); ++i) {
         queueSum += metrics_.readGauge(
@@ -70,21 +60,15 @@ Autoscaler::tick()
     const bool cooled =
         !everActed_ || now - lastAction_ >= spec_.cooldown;
     if (cooled) {
-        const bool p95High = spec_.p95HighNs > 0 && windowValid &&
-            p95 > spec_.p95HighNs;
         const bool queueHigh =
             spec_.queueHigh > 0 && queueMean > spec_.queueHigh;
-        const bool p95LowOk = spec_.p95LowNs == 0 ||
-            (windowValid && p95 < spec_.p95LowNs);
-        const bool queueLowOk =
-            spec_.queueLow <= 0 || queueMean < spec_.queueLow;
+        const bool queueLow =
+            spec_.queueLow > 0 && queueMean < spec_.queueLow;
 
-        if ((p95High || queueHigh) && active < spec_.maxReplicas) {
+        if (queueHigh && active < spec_.maxReplicas) {
             set_.scaleTo(active + 1);
             recordAction(true, now);
-        } else if (p95LowOk && queueLowOk &&
-                   (spec_.p95LowNs > 0 || spec_.queueLow > 0) &&
-                   active > spec_.minReplicas) {
+        } else if (queueLow && active > kMinReplicas) {
             set_.scaleTo(active - 1);
             recordAction(false, now);
         }

@@ -3,21 +3,16 @@
  * Metrics-driven autoscaler for one ReplicaSet.
  *
  * A periodic control loop on the deployment's event queue samples the
- * MetricsRegistry -- the same pull series operators would watch -- and
- * adjusts the replica count:
+ * MetricsRegistry -- the same pull series operators would watch -- for
+ * the mean inbound queue depth per active replica (the
+ * ditto_service_inbound_queue_depth gauges) and adjusts the replica
+ * count.
  *
- *   - p95 request latency over the last evaluation window, computed
- *     from the replicas' cumulative latency histograms via
- *     LatencyHistogram::since(baseline) after merging the group;
- *   - mean inbound queue depth per active replica, from the
- *     ditto_service_inbound_queue_depth gauges.
- *
- * Control law: breach of any high watermark scales up by one; only
- * when every enabled signal sits below its low watermark does the
- * loop scale down by one. Scaling actions are separated by a cooldown
- * so the loop reacts to the *consequences* of its last action, not to
- * the window that triggered it. Bounds [minReplicas, maxReplicas]
- * always win.
+ * Control law: a mean above the high watermark scales up by one; a
+ * mean below the low watermark scales down by one. Scaling actions
+ * are separated by a cooldown so the loop reacts to the
+ * *consequences* of its last action, not to the window that
+ * triggered it. Bounds [1, maxReplicas] always win.
  *
  * Every action increments an owned counter
  * (ditto_autoscaler_scale_{ups,downs}_total{service=...}) and records
@@ -38,7 +33,6 @@
 
 #include "cluster/replica_set.h"
 #include "sim/time.h"
-#include "stats/histogram.h"
 
 namespace ditto::app {
 class Deployment;
@@ -57,17 +51,10 @@ struct AutoscalerSpec
     sim::Time period = sim::milliseconds(20);
     /** Minimum spacing between two scaling actions. */
     sim::Time cooldown = sim::milliseconds(60);
-    /** Scale up when window p95 exceeds this (ns; 0 disables). */
-    std::uint64_t p95HighNs = 0;
-    /** Allow scale-down only when window p95 is below (0 disables). */
-    std::uint64_t p95LowNs = 0;
     /** Scale up when mean queue depth per replica exceeds this. */
     double queueHigh = 0.0;
-    /** Allow scale-down only when mean queue depth is below this. */
+    /** Scale down when mean queue depth is below this (0 disables). */
     double queueLow = 0.0;
-    /** Ignore latency windows with fewer samples than this. */
-    std::uint64_t minWindowSamples = 16;
-    std::size_t minReplicas = 1;
     std::size_t maxReplicas = 8;
 };
 
@@ -103,8 +90,6 @@ class Autoscaler
     Stats stats_;
     obs::Counter *scaleUps_ = nullptr;
     obs::Counter *scaleDowns_ = nullptr;
-    /** Merged-group latency histogram at the last evaluation. */
-    stats::LatencyHistogram baseline_;
     sim::Time lastAction_ = 0;
     bool everActed_ = false;
 

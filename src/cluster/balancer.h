@@ -7,8 +7,8 @@
  * RPC attempt under one of four policies (round-robin,
  * least-outstanding-requests, power-of-two-choices, consistent
  * hashing on the request key), mirroring the client-side balancing of
- * Envoy/Finagle/gRPC. Policies are chosen per edge through
- * ServiceSpec::balancing.
+ * Envoy/Finagle/gRPC. A caller picks one policy for all its edges
+ * through ServiceSpec::balancing.
  *
  * Determinism (DESIGN.md §8): every balancer belongs to exactly one
  * calling ServiceInstance and draws randomness (power-of-two only)
@@ -60,9 +60,8 @@ const char *balancerPolicyName(BalancerPolicy policy);
  */
 struct BalancingSpec
 {
-    BalancerPolicy defaultPolicy = BalancerPolicy::RoundRobin;
-    /** Per-edge overrides, keyed by downstream service name. */
-    std::map<std::string, BalancerPolicy> perDownstream;
+    /** Replica selection on every edge this service originates. */
+    BalancerPolicy policy = BalancerPolicy::RoundRobin;
     /**
      * Per-edge region pins, keyed by downstream service name: the
      * edge only targets replicas in the named region (regardless of
@@ -70,13 +69,6 @@ struct BalancingSpec
      * region registry at wireAll() time.
      */
     std::map<std::string, std::string> pinRegion;
-
-    BalancerPolicy
-    policyFor(const std::string &downstream) const
-    {
-        auto it = perDownstream.find(downstream);
-        return it != perDownstream.end() ? it->second : defaultPolicy;
-    }
 
     /** Region pin of one edge; nullptr when unpinned. */
     const std::string *

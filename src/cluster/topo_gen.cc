@@ -14,6 +14,34 @@ namespace ditto::cluster {
 
 namespace {
 
+/**
+ * Target cap on tree children per service. Bounds every service's
+ * fan-in-driven downstream list (without it the root parents every
+ * level-1 service and its per-request call count grows with the
+ * topology). Soft: when the capped tree cannot hold `services` nodes
+ * within `depth` levels, parents overflow the cap rather than deepen
+ * the tree.
+ */
+constexpr unsigned kMaxChildren = 4;
+/** Extra downstream edges sampled per non-leaf service (0..N). */
+constexpr unsigned kExtraFanout = 2;
+/**
+ * Probability a request actually calls each extra edge (the first
+ * downstream is always called). Keeps the per-request call tree
+ * bounded as the topology grows: mean branching stays near
+ * 1 + kExtraFanout/2 * kExtraCallProbability per level instead of the
+ * full edge count.
+ */
+constexpr double kExtraCallProbability = 0.35;
+/** Async fanouts are capped at this many calls per request. */
+constexpr std::size_t kMaxAsyncFanout = 3;
+/** Fraction of multi-downstream services using the async client. */
+constexpr double kAsyncFraction = 0.3;
+/** Fraction of leaf services doing a file read per request. */
+constexpr double kLeafFileFraction = 0.5;
+/** Instructions per handler compute block. */
+constexpr unsigned kHandlerInsts = 64;
+
 std::string
 serviceName(unsigned idx)
 {
@@ -64,19 +92,18 @@ generateTopology(const TopoSpec &spec)
     };
 
     // Tree construction: every non-root service hangs off one
-    // earlier-built parent, capped at maxChildren tree children so no
+    // earlier-built parent, capped at kMaxChildren tree children so no
     // service's fan-in grows with the topology; its level is the
     // parent's plus one. Root-reachable by induction, and every edge
     // points strictly deeper, so the graph stays acyclic even after
     // the extra edges below.
     topo.level.assign(n, 0);
-    const unsigned maxKids = std::max(1u, spec.maxChildren);
     std::vector<unsigned> treeKids(n, 0);
     std::vector<unsigned> cands;
     for (unsigned i = 1; i < n; ++i) {
         cands.clear();
         for (unsigned j = 0; j < i; ++j) {
-            if (topo.level[j] + 1 < depth && treeKids[j] < maxKids)
+            if (topo.level[j] + 1 < depth && treeKids[j] < kMaxChildren)
                 cands.push_back(j);
         }
         if (cands.empty()) {
@@ -127,7 +154,7 @@ generateTopology(const TopoSpec &spec)
         const auto extra = spec.fanoutTailAlpha > 0.0
             ? heavyTailCount(rng, spec.fanoutTailAlpha)
             : static_cast<unsigned>(
-                  rng.uniformInt(std::uint64_t{spec.extraFanout} + 1));
+                  rng.uniformInt(std::uint64_t{kExtraFanout} + 1));
         for (unsigned e = 0; e < extra; ++e) {
             addEdge(i, deeper[static_cast<std::size_t>(
                            rng.uniformInt(deeper.size()))]);
@@ -165,52 +192,43 @@ generateTopology(const TopoSpec &spec)
 
         hw::BlockSpec bs;
         bs.label = s.name + ".h";
-        bs.instCount = std::max(1u, spec.handlerInsts);
+        bs.instCount = kHandlerInsts;
         bs.seed = spec.seed ^ (0x5eedb10cull + i);
         s.blocks.push_back(hw::buildBlock(bs));
 
         for (unsigned d : downstreamOf[i])
             s.downstreams.push_back(serviceName(d));
         const bool multi = s.downstreams.size() > 1;
-        if (multi && rng.uniform() < spec.asyncFraction)
+        if (multi && rng.uniform() < kAsyncFraction)
             s.clientModel = app::ClientModel::Async;
 
         app::EndpointSpec ep;
         ep.name = "req";
         ep.handler.ops.push_back(app::opCompute(0, 2, 6));
         if (s.downstreams.empty()) {
-            if (rng.uniform() < spec.leafFileFraction) {
+            if (rng.uniform() < kLeafFileFraction) {
                 s.fileBytes.push_back(std::uint64_t{64} << 10);
                 ep.handler.ops.push_back(
                     app::opFileRead(0, 256, 4096));
             }
         } else if (s.clientModel == app::ClientModel::Async) {
             std::vector<app::RpcCallSpec> calls;
-            const auto cap = static_cast<std::uint32_t>(std::min(
-                s.downstreams.size(),
-                std::size_t{std::max(1u, spec.maxAsyncFanout)}));
+            const auto cap = static_cast<std::uint32_t>(
+                std::min(s.downstreams.size(), kMaxAsyncFanout));
             for (std::uint32_t t = 0; t < cap; ++t)
                 calls.push_back(app::RpcCallSpec{t, 0, 128, 256});
             ep.handler.ops.push_back(app::opRpcFanout(calls));
         } else {
             // First downstream on every request; each extra edge only
-            // with extraCallProbability, so the call tree stays
+            // with kExtraCallProbability, so the call tree stays
             // bounded as the graph grows.
             ep.handler.ops.push_back(app::opRpc(0, 0, 128, 256));
-            const double p =
-                std::clamp(spec.extraCallProbability, 0.0, 1.0);
             for (std::uint32_t t = 1; t < s.downstreams.size(); ++t) {
-                if (p >= 1.0) {
-                    ep.handler.ops.push_back(
-                        app::opRpc(t, 0, 128, 256));
-                    continue;
-                }
-                if (p <= 0.0)
-                    continue;
                 app::Program arm;
                 arm.ops.push_back(app::opRpc(t, 0, 128, 256));
                 ep.handler.ops.push_back(app::opChoice(
-                    {p, 1.0 - p}, {arm, app::Program{}}));
+                    {kExtraCallProbability, 1.0 - kExtraCallProbability},
+                    {arm, app::Program{}}));
             }
         }
         if (backendOf[i] >= 0) {
@@ -250,7 +268,7 @@ generateTopology(const TopoSpec &spec)
             s.resilience.rpcDeadline = spec.rpcDeadline;
         hw::BlockSpec bs;
         bs.label = s.name + ".h";
-        bs.instCount = std::max(1u, spec.handlerInsts);
+        bs.instCount = kHandlerInsts;
         bs.seed = spec.seed ^ (0xdb5eedull + b);
         s.blocks.push_back(hw::buildBlock(bs));
         s.locks = 1;

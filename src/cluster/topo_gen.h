@@ -40,40 +40,13 @@ struct TopoSpec
     /** Levels in the layered graph (>= 1). */
     unsigned depth = 4;
     /**
-     * Target cap on tree children per service. Bounds every
-     * service's fan-in-driven downstream list (without it the root
-     * parents every level-1 service and its per-request call count
-     * grows with the topology). Soft: when the capped tree cannot
-     * hold `services` nodes within `depth` levels, parents overflow
-     * the cap rather than deepen the tree.
-     */
-    unsigned maxChildren = 4;
-    /** Extra downstream edges sampled per non-leaf service (0..N). */
-    unsigned extraFanout = 2;
-    /**
-     * Probability a request actually calls each extra edge (the first
-     * downstream is always called). Keeps the per-request call tree
-     * bounded as the topology grows: mean branching stays near
-     * 1 + extraFanout/2 * extraCallProbability per level instead of
-     * the full edge count.
-     */
-    double extraCallProbability = 0.35;
-    /** Async fanouts are capped at this many calls per request. */
-    unsigned maxAsyncFanout = 3;
-    /**
      * Per-edge RPC deadline applied to every service (0 disables).
      * Without it a saturated downstream stalls its callers without
      * bound and the latency of the whole tree diverges.
      */
     sim::Time rpcDeadline = sim::milliseconds(10);
-    /** Fraction of multi-downstream services using the async client. */
-    double asyncFraction = 0.3;
-    /** Fraction of leaf services doing a file read per request. */
-    double leafFileFraction = 0.5;
     /** Worker threads per service. */
     unsigned workersPerService = 2;
-    /** Instructions per handler compute block. */
-    unsigned handlerInsts = 64;
     std::uint64_t seed = 1;
 
     // ---- production shape knobs (all off by default; when off the
@@ -97,7 +70,7 @@ struct TopoSpec
     unsigned sharedBackends = 0;
     /**
      * When > 0, the per-service extra fan-out count is drawn from a
-     * Pareto tail with this alpha instead of uniform 0..extraFanout:
+     * Pareto tail with this alpha instead of uniform 0..kExtraFanout:
      * most services keep small fan-out while a few become the
      * hub-like aggregators real traces show. Smaller alpha = heavier
      * tail; counts are still capped by the deeper-level population.

@@ -1,7 +1,5 @@
 #include "fault/fault_plan.h"
 
-#include "sim/rng.h"
-
 namespace ditto::fault {
 
 const char *
@@ -148,46 +146,6 @@ FaultPlan::wanDegrade(const std::string &a, const std::string &b,
     spec.magnitude = dropProb;
     spec.extraLatency = extra;
     faults.push_back(std::move(spec));
-    return *this;
-}
-
-FaultPlan &
-FaultPlan::randomServiceCrashes(const std::string &service,
-                                sim::Time horizon,
-                                sim::Time meanInterval,
-                                sim::Time downFor, std::uint64_t seed)
-{
-    sim::Rng rng(seed ^ 0xc4a5full);
-    sim::Time at = 0;
-    while (true) {
-        at += static_cast<sim::Time>(
-            rng.exponential(static_cast<double>(meanInterval)));
-        if (at >= horizon)
-            break;
-        serviceCrash(service, at, downFor);
-        at += downFor;  // no overlapping crashes of the same service
-    }
-    return *this;
-}
-
-FaultPlan &
-FaultPlan::randomLinkDropBursts(const std::string &a,
-                                const std::string &b,
-                                sim::Time horizon,
-                                sim::Time meanInterval,
-                                sim::Time burstLength, double dropProb,
-                                std::uint64_t seed)
-{
-    sim::Rng rng(seed ^ 0xb0457ull);
-    sim::Time at = 0;
-    while (true) {
-        at += static_cast<sim::Time>(
-            rng.exponential(static_cast<double>(meanInterval)));
-        if (at >= horizon)
-            break;
-        linkDrop(a, b, at, burstLength, dropProb);
-        at += burstLength;
-    }
     return *this;
 }
 

@@ -9,11 +9,9 @@
  * services by string and carry absolute start times -- so the same
  * plan can be installed on an original deployment and on its Ditto
  * clone, which is exactly how fidelity under faults is validated
- * (bench/bench_faults.cc).
- *
- * Probabilistic faults are supported by *expansion*: the random*()
- * builders sample concrete fault windows from a caller-seeded rng at
- * plan-construction time, so the resulting plan is again a fixed,
+ * (bench_paper's fault section, bench/bench_faults.cc). A caller that
+ * wants random faults samples concrete windows from its own seeded
+ * rng and adds them (ditto-chaos does), so every plan is a fixed,
  * replayable schedule.
  */
 
@@ -115,32 +113,6 @@ struct FaultPlan
     FaultPlan &wanDegrade(const std::string &a, const std::string &b,
                           sim::Time start, sim::Time duration,
                           double dropProb, sim::Time extra);
-
-    /**
-     * Expand a Poisson process of service crashes over [0, horizon):
-     * exponential inter-arrival times with mean `meanInterval`, each
-     * crash lasting `downFor`. Sampling uses a private rng seeded
-     * with `seed`, so the expansion is deterministic and independent
-     * of every other rng in the simulation.
-     */
-    FaultPlan &randomServiceCrashes(const std::string &service,
-                                    sim::Time horizon,
-                                    sim::Time meanInterval,
-                                    sim::Time downFor,
-                                    std::uint64_t seed);
-
-    /**
-     * Expand a Poisson process of loss bursts on one link: windows of
-     * `burstLength` with drop probability `dropProb`, exponential
-     * inter-arrival with mean `meanInterval`. Deterministic in `seed`.
-     */
-    FaultPlan &randomLinkDropBursts(const std::string &a,
-                                    const std::string &b,
-                                    sim::Time horizon,
-                                    sim::Time meanInterval,
-                                    sim::Time burstLength,
-                                    double dropProb,
-                                    std::uint64_t seed);
 };
 
 } // namespace ditto::fault

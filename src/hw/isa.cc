@@ -372,43 +372,4 @@ Isa::opcodesOfClass(InstClass cls) const
     return out;
 }
 
-std::string_view
-instClassName(InstClass cls)
-{
-    switch (cls) {
-      case InstClass::DataMove: return "DataMove";
-      case InstClass::IntArith: return "IntArith";
-      case InstClass::IntMul: return "IntMul";
-      case InstClass::IntDiv: return "IntDiv";
-      case InstClass::Logic: return "Logic";
-      case InstClass::Shift: return "Shift";
-      case InstClass::FpArith: return "FpArith";
-      case InstClass::FpMul: return "FpMul";
-      case InstClass::FpDiv: return "FpDiv";
-      case InstClass::SimdInt: return "SimdInt";
-      case InstClass::SimdFp: return "SimdFp";
-      case InstClass::Control: return "Control";
-      case InstClass::Lock: return "Lock";
-      case InstClass::RepString: return "RepString";
-      case InstClass::Crc: return "Crc";
-      case InstClass::Nop: return "Nop";
-      case InstClass::Convert: return "Convert";
-      case InstClass::System: return "System";
-    }
-    return "?";
-}
-
-std::string_view
-operandKindName(OperandKind kind)
-{
-    switch (kind) {
-      case OperandKind::Gpr: return "Gpr";
-      case OperandKind::X87: return "X87";
-      case OperandKind::Xmm: return "Xmm";
-      case OperandKind::Mem: return "Mem";
-      case OperandKind::None: return "None";
-    }
-    return "?";
-}
-
 } // namespace ditto::hw

@@ -139,12 +139,6 @@ class Isa
     std::vector<InstInfo> table_;
 };
 
-/** Human-readable class name (for reports and tests). */
-std::string_view instClassName(InstClass cls);
-
-/** Human-readable operand-kind name. */
-std::string_view operandKindName(OperandKind kind);
-
 } // namespace ditto::hw
 
 #endif // DITTO_HW_ISA_H_

@@ -1,8 +1,5 @@
 #include "hw/platform.h"
 
-#include <cstdio>
-#include <cstdlib>
-
 namespace ditto::hw {
 
 PlatformSpec
@@ -89,19 +86,6 @@ platformC()
     p.diskBytes = 1ull << 40;
     p.nicGbps = 1.0;
     return p;
-}
-
-PlatformSpec
-platformByName(const std::string &name)
-{
-    if (name == "A" || name == "a")
-        return platformA();
-    if (name == "B" || name == "b")
-        return platformB();
-    if (name == "C" || name == "c")
-        return platformC();
-    std::fprintf(stderr, "unknown platform: %s\n", name.c_str());
-    std::abort();
 }
 
 PlatformSpec

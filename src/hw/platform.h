@@ -95,9 +95,6 @@ PlatformSpec platformB();
 /** Table 1, Platform C (small single-socket Skylake). */
 PlatformSpec platformC();
 
-/** Look up a platform preset by name ("A", "B" or "C"). */
-PlatformSpec platformByName(const std::string &name);
-
 /**
  * Derive a power-management variant: override the active core count
  * and frequency (Fig. 11's core/frequency scaling study).

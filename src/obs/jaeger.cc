@@ -561,6 +561,9 @@ microsValueToNanos(JsonValue v, std::uint64_t *ns, bool *negative)
     return true;
 }
 
+/** Cap on retained warning strings; counters stay exact. */
+constexpr std::size_t kMaxWarnings = 32;
+
 /** Tallies defects; throws named errors unless lenient. */
 class Ingest
 {
@@ -582,11 +585,11 @@ class Ingest
         note(msg);
     }
 
-    /** A non-fatal observation, retained up to maxWarnings. */
+    /** A non-fatal observation, retained up to kMaxWarnings. */
     void
     note(const std::string &msg)
     {
-        if (rep_.warnings.size() < opts_.maxWarnings)
+        if (rep_.warnings.size() < kMaxWarnings)
             rep_.warnings.push_back(msg);
     }
 

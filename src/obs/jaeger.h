@@ -75,8 +75,6 @@ struct ImportOptions
      * skip-span, drop-edge respectively.
      */
     bool lenient = false;
-    /** Cap on retained warning strings; counters stay exact. */
-    std::size_t maxWarnings = 32;
 };
 
 /** What the importer saw and (in lenient mode) repaired. */
@@ -95,7 +93,7 @@ struct ImportReport
     std::uint64_t negativeDurationSpans = 0;
     std::uint64_t unknownProcessSpans = 0;
     std::uint64_t calleelessClientSpans = 0;
-    /** First ImportOptions::maxWarnings human-readable messages. */
+    /** First 32 human-readable messages (counters stay exact). */
     std::vector<std::string> warnings;
     /**
      * Foreign endpoint interning: service -> operationName per

@@ -180,16 +180,6 @@ MetricsRegistry::readGauge(const std::string &name,
     return ok ? it->second.gaugeValue() : 0.0;
 }
 
-const stats::LatencyHistogram *
-MetricsRegistry::findHistogram(const std::string &name,
-                               const Labels &labels) const
-{
-    const auto it = series_.find(Key{name, renderLabels(labels)});
-    if (it == series_.end() || it->second.kind != Kind::Summary)
-        return nullptr;
-    return it->second.histogram();
-}
-
 void
 MetricsRegistry::writePrometheus(std::ostream &os) const
 {

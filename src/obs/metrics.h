@@ -137,16 +137,13 @@ class MetricsRegistry
 
     // ---- read-back (autoscaler control inputs) ----------------------
     // Sample a registered series by (name, labels). Missing series
-    // read as 0 / nullptr; `found` (when non-null) reports existence.
+    // read as 0; `found` (when non-null) reports existence.
 
     std::uint64_t readCounter(const std::string &name,
                               const Labels &labels = {},
                               bool *found = nullptr) const;
     double readGauge(const std::string &name, const Labels &labels = {},
                      bool *found = nullptr) const;
-    const stats::LatencyHistogram *
-    findHistogram(const std::string &name,
-                  const Labels &labels = {}) const;
 
     /**
      * Prometheus text exposition format (HELP/TYPE per metric name;

@@ -42,23 +42,11 @@ Network::clearLinkFault(const Machine *a, const Machine *b)
     faults_.erase(linkKey(a, b));
 }
 
-void
-Network::clearLinkFaults()
-{
-    faults_.clear();
-}
-
 LinkFault
 Network::linkFault(const Machine *a, const Machine *b) const
 {
     const auto it = faults_.find(linkKey(a, b));
     return it != faults_.end() ? it->second : LinkFault{};
-}
-
-void
-Network::seedFaultRng(std::uint64_t seed)
-{
-    faultRng_ = sim::Rng(seed);
 }
 
 Network::RegionKey
@@ -103,12 +91,6 @@ void
 Network::clearRegionFault(std::uint32_t a, std::uint32_t b)
 {
     regionFaults_.erase(regionKey(a, b));
-}
-
-void
-Network::clearRegionFaults()
-{
-    regionFaults_.clear();
 }
 
 LinkFault

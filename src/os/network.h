@@ -176,14 +176,8 @@ class Network
     /** Remove the fault state of one link. */
     void clearLinkFault(const Machine *a, const Machine *b);
 
-    /** Remove every installed link fault. */
-    void clearLinkFaults();
-
     /** Current fault state of a link (default-constructed if none). */
     LinkFault linkFault(const Machine *a, const Machine *b) const;
-
-    /** Reseed the rng used for probabilistic drops. */
-    void seedFaultRng(std::uint64_t seed);
 
     // ---- WAN links and region-scoped faults -------------------------
 
@@ -218,9 +212,6 @@ class Network
 
     /** Remove the fault state of one region pair. */
     void clearRegionFault(std::uint32_t a, std::uint32_t b);
-
-    /** Remove every installed region fault. */
-    void clearRegionFaults();
 
     /** Current fault state of a region pair (default if none). */
     LinkFault regionFault(std::uint32_t a, std::uint32_t b) const;

@@ -66,27 +66,6 @@ Scheduler::liveThreads() const
         }));
 }
 
-double
-Scheduler::utilization() const
-{
-    if (slots_.empty())
-        return 0.0;
-    const auto busy = std::count_if(
-        slots_.begin(), slots_.end(),
-        [](const CoreSlot &s) { return s.busy; });
-    return static_cast<double>(busy) /
-        static_cast<double>(slots_.size());
-}
-
-int
-Scheduler::siblingOf(unsigned coreIdx) const
-{
-    if (machine_.smtWays() < 2)
-        return -1;
-    const unsigned sibling = coreIdx ^ 1u;
-    return sibling < slots_.size() ? static_cast<int>(sibling) : -1;
-}
-
 void
 Scheduler::updateSmtContention(unsigned coreIdx)
 {

@@ -64,9 +64,6 @@ class Scheduler
     /** Number of threads not yet terminated. */
     std::size_t liveThreads() const;
 
-    /** Fraction of logical cores currently busy. */
-    double utilization() const;
-
     /** Cycle contention multiplier when SMT siblings co-run. */
     static constexpr double kSmtContention = 1.45;
 
@@ -94,7 +91,6 @@ class Scheduler
     void runOn(unsigned coreIdx, Thread *t);
     void onSliceDone(unsigned coreIdx, Thread *t, StepResult result);
     void updateSmtContention(unsigned coreIdx);
-    int siblingOf(unsigned coreIdx) const;
 };
 
 } // namespace ditto::os

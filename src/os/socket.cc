@@ -79,14 +79,6 @@ Epoll::watch(Socket *s)
 }
 
 void
-Epoll::unwatch(Socket *s)
-{
-    watched_.erase(std::remove(watched_.begin(), watched_.end(), s),
-                   watched_.end());
-    s->setEpoll(nullptr);
-}
-
-void
 Epoll::notifyReadable(Socket *)
 {
     if (!waiters_.empty()) {

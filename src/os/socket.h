@@ -161,7 +161,6 @@ class Epoll
     std::uint64_t id() const { return id_; }
 
     void watch(Socket *s);
-    void unwatch(Socket *s);
 
     /** Called by a socket when it becomes readable. */
     void notifyReadable(Socket *s);

@@ -21,13 +21,11 @@ quantizeExp(double rate)
 
 } // namespace
 
-CpuProfiler::CpuProfiler(std::string labelPrefix,
-                         std::uint64_t maxWsBytes)
+CpuProfiler::CpuProfiler(std::string labelPrefix)
     : prefix_(std::move(labelPrefix)),
       opcodeCounts_(hw::Isa::instance().size(), 0.0),
       strideTable_(16)
 {
-    (void)maxWsBytes;
 }
 
 CpuProfiler::~CpuProfiler() = default;

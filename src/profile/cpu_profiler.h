@@ -35,12 +35,10 @@ class CpuProfiler : public hw::ExecObserver
   public:
     /**
      * @param labelPrefix only blocks whose label starts with this
-     *        prefix are profiled ("" = all user blocks)
-     * @param maxWsBytes retained for API compatibility; the stack-
-     *        distance profiler covers all sizes in one pass
+     *        prefix are profiled ("" = all user blocks); the stack-
+     *        distance profiler covers all working-set sizes in one pass
      */
-    explicit CpuProfiler(std::string labelPrefix,
-                         std::uint64_t maxWsBytes = 256ull << 20);
+    explicit CpuProfiler(std::string labelPrefix);
     ~CpuProfiler() override;
 
     // ExecObserver

@@ -16,7 +16,7 @@ profileService(app::Deployment &dep, app::ServiceInstance &svc,
     dep.runFor(opts.warmup);
 
     // Attach the instrumentation (an observed core runs exactly).
-    CpuProfiler cpu(svc.name() + ".", opts.maxWsBytes);
+    CpuProfiler cpu(svc.name() + ".");
     for (unsigned c = 0; c < machine.coreCount(); ++c)
         machine.core(c).setObserver(&cpu);
     ProbeCollector probe;

@@ -24,7 +24,6 @@ struct ProfileOptions
 {
     sim::Time warmup = sim::milliseconds(150);
     sim::Time window = sim::milliseconds(150);
-    std::uint64_t maxWsBytes = 256ull << 20;
 };
 
 /**

@@ -6,20 +6,6 @@
 namespace ditto::workload {
 
 const char *
-arrivalKindName(ArrivalKind kind)
-{
-    switch (kind) {
-      case ArrivalKind::Poisson:
-        return "poisson";
-      case ArrivalKind::Mmpp:
-        return "mmpp";
-      case ArrivalKind::Deterministic:
-        return "deterministic";
-    }
-    return "?";
-}
-
-const char *
 shapeKindName(ShapeKind kind)
 {
     switch (kind) {

@@ -36,9 +36,6 @@ enum class ArrivalKind : std::uint8_t
     Deterministic, //!< fixed 1/rate pacing (benchmark drivers)
 };
 
-/** Human-readable arrival kind name. */
-const char *arrivalKindName(ArrivalKind kind);
-
 /** One MMPP state: a rate multiplier held for an exponential dwell. */
 struct MmppState
 {

@@ -7,6 +7,13 @@
 
 namespace ditto::workload {
 
+namespace {
+
+/** Percentile each class's deadline is promised at (met/missed). */
+constexpr double kSloTargetPercentile = 0.99;
+
+} // namespace
+
 WorkloadEngine::WorkloadEngine(app::Deployment &dep,
                                app::ServiceInstance &target,
                                WorkloadSpec spec, std::uint64_t seed)
@@ -80,15 +87,6 @@ WorkloadEngine::beginMeasure()
     }
 }
 
-void
-WorkloadEngine::setSessionsPerSec(double rate)
-{
-    spec_.sessionsPerSec = rate;
-    // The arrival loop re-reads the spec at every draw, and draws are
-    // bounded by the shape's refresh horizon, so the new rate takes
-    // effect at the next checkpoint without rescheduling here.
-}
-
 std::uint64_t
 WorkloadEngine::classSent(std::size_t i) const
 {
@@ -135,12 +133,12 @@ WorkloadEngine::sloReport() const
                 static_cast<double>(cs.mSettled)
             : 0.0;
         row.latencyAtTargetNs =
-            cs.latency.percentile(ec.slo.targetPercentile);
+            cs.latency.percentile(kSloTargetPercentile);
         row.met = cs.mSettled > 0 && cs.mViolations == 0
             ? true
             : (cs.latency.count() > 0 &&
                row.latencyAtTargetNs <= ec.slo.deadline &&
-               row.violationRate <= 1.0 - ec.slo.targetPercentile);
+               row.violationRate <= 1.0 - kSloTargetPercentile);
         totalSent += cs.mSent;
         totalGood += cs.mOkInDeadline;
         report.classes.push_back(std::move(row));
@@ -277,12 +275,10 @@ WorkloadEngine::sendAttempt(std::uint64_t sessionId,
 }
 
 bool
-WorkloadEngine::maybeRetry(const Call &c, bool fromShed)
+WorkloadEngine::maybeRetry(const Call &c)
 {
     if (spec_.retry.maxAttempts <= 1 ||
         c.attempt >= spec_.retry.maxAttempts)
-        return false;
-    if (fromShed && !spec_.retry.retryOnShed)
         return false;
     if (!running_ || sessions_.find(c.session) == nullptr)
         return false;
@@ -335,8 +331,7 @@ WorkloadEngine::settled(std::size_t, const Call &call, Settle how,
         if (!timedOut)
             cs.latency.record(latency);
     }
-    if ((how == Settle::Shed || timedOut) &&
-        maybeRetry(call, how == Settle::Shed))
+    if ((how == Settle::Shed || timedOut) && maybeRetry(call))
         return; // the retry attempt carries the session forward
     continueSession(call.session);
 }

@@ -60,8 +60,8 @@ struct EndpointClass
 };
 
 /**
- * Client-side retry policy: failed calls (timeouts and, optionally,
- * shed responses) are re-sent after a fixed deterministic backoff,
+ * Client-side retry policy: failed calls (timeouts and shed
+ * responses) are re-sent after a fixed deterministic backoff,
  * bounded by an app::RetryBudget token bucket. Every attempt is its
  * own sent/settled call, so the engine's conservation contract is
  * untouched. Defaults disable retries entirely.
@@ -72,8 +72,6 @@ struct ClientRetrySpec
     unsigned maxAttempts = 1;
     /** Fixed pause before a retry (no jitter: determinism). */
     sim::Time backoff = sim::microseconds(500);
-    /** Also retry calls answered with MsgStatus::Shed. */
-    bool retryOnShed = true;
     /**
      * Retry-budget token ratio: fresh calls deposit this many tokens,
      * each retry withdraws one (retries <= ~ratio x fresh traffic).
@@ -145,9 +143,6 @@ class WorkloadEngine : public Client
 
     /** Reset the measured window (latency + per-class SLO tallies). */
     void beginMeasure() override;
-
-    /** Change the base session arrival rate immediately. */
-    void setSessionsPerSec(double rate);
 
     // ---- client retry accounting ------------------------------------
     // Every retry is a fresh sent() call, so the Client conservation
@@ -240,7 +235,7 @@ class WorkloadEngine : public Client
      * attempt count, and budget all allow it. @retval false the call
      * is final -- the caller must continueSession.
      */
-    bool maybeRetry(const Call &c, bool fromShed);
+    bool maybeRetry(const Call &c);
     /** SLO tallies, then a retry or the session's next step. */
     void settled(std::size_t conn, const Call &call, Settle how,
                  sim::Time latency) override;

@@ -6,8 +6,8 @@
  * The paper's fidelity evaluation (Sec. 5, Fig. 5) and the QoS-under-
  * scaling style of CloudNativeSim both hinge on *goodput* -- requests
  * answered Ok within their class deadline -- rather than raw latency.
- * An SloSpec attaches a deadline and a target percentile to each
- * endpoint class; the engine tallies per-class outcomes against it
+ * An SloSpec attaches a deadline, promised at the 99th percentile, to
+ * each endpoint class; the engine tallies per-class outcomes against it
  * and this module turns the tallies into reports, knee points, and
  * `ditto_slo_*` / `ditto_client_*` series on a MetricsRegistry (pull
  * callbacks only, per the zero-cost-when-disabled contract of
@@ -35,8 +35,6 @@ struct SloSpec
 {
     /** End-to-end deadline a response must beat to count as good. */
     sim::Time deadline = sim::milliseconds(5);
-    /** Percentile the deadline is promised at (met/missed verdict). */
-    double targetPercentile = 0.99;
 };
 
 /** One endpoint class's measured-window SLO outcome. */
@@ -54,7 +52,7 @@ struct SloClassReport
     double offeredQps = 0;  //!< sent / window
     double goodputQps = 0;  //!< okInDeadline / window
     double violationRate = 0; //!< violations / settled (0 if none)
-    /** Measured latency at the target percentile (ns). */
+    /** Measured latency at the target (99th) percentile (ns). */
     std::uint64_t latencyAtTargetNs = 0;
     /** percentile(target) <= deadline over the window. */
     bool met = false;

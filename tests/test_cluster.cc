@@ -28,6 +28,7 @@
 #include "cluster/placer.h"
 #include "cluster/replica_set.h"
 #include "cluster/topo_gen.h"
+#include "core/spec_io.h"
 #include "fault/fault_injector.h"
 #include "fault/fault_plan.h"
 #include "hw/block_builder.h"
@@ -83,8 +84,29 @@ frontendSpec(const app::ResilienceSpec &resilience,
                       app::opCompute(0, 3)};
     spec.endpoints.push_back(ep);
     spec.resilience = resilience;
-    spec.balancing.defaultPolicy = policy;
+    spec.balancing.policy = policy;
     return spec;
+}
+
+/**
+ * FNV-1a over every generated spec's text and its RPC deadline (which
+ * the spec text leaves out), to pin the generator's output.
+ */
+std::uint64_t
+topologyDigest(const cluster::GeneratedTopology &topo)
+{
+    std::uint64_t h = 0xcbf29ce484222325ull;
+    const auto mix = [&h](const std::string &text) {
+        for (const unsigned char c : text) {
+            h ^= c;
+            h *= 0x100000001b3ull;
+        }
+    };
+    for (const app::ServiceSpec &spec : topo.specs) {
+        mix(core::specToString(spec));
+        mix(std::to_string(spec.resilience.rpcDeadline));
+    }
+    return h;
 }
 
 workload::LoadSpec
@@ -459,7 +481,7 @@ TEST(Autoscaler, IdleGroupScalesDownToMinimum)
     dep.runFor(sim::milliseconds(100));
 
     // No traffic at all: the loop drains one replica per cooldown and
-    // stops at minReplicas.
+    // stops at one replica.
     EXPECT_EQ(scaler.stats().scaleDowns, 2u);
     EXPECT_EQ(set.active(), 1u);
     EXPECT_EQ(set.total(), 3u);  // retired, not destroyed
@@ -495,6 +517,10 @@ TEST(TopoGen, DeterministicAcyclicRootReachable)
         EXPECT_EQ(a.specs[i].name, b.specs[i].name);
         EXPECT_EQ(a.specs[i].downstreams, b.specs[i].downstreams);
     }
+    // And pinned: every spec (fan-out, client model, leaf file I/O,
+    // handler block, deadline) matches the output captured before the
+    // generator's fixed knobs became constants.
+    EXPECT_EQ(topologyDigest(a), 0x89396de20eea2a77ull);
 
     // Name -> index ("s0042" -> 42).
     auto indexOf = [](const std::string &name) {
@@ -653,6 +679,10 @@ TEST(TopoGenProdShapes, DiamondsAndHeavyTailAddEdgesDeterministically)
     EXPECT_EQ(a.edges, b.edges);
     for (std::size_t i = 0; i < a.specs.size(); ++i)
         EXPECT_EQ(a.specs[i].downstreams, b.specs[i].downstreams);
+    // Both pinned to the output captured before the generator's fixed
+    // knobs became constants.
+    EXPECT_EQ(topologyDigest(base), 0x8d901239d41b2257ull);
+    EXPECT_EQ(topologyDigest(a), 0xed72e7987c3caff6ull);
 
     // Diamond edges still point strictly deeper: acyclic.
     auto indexOf = [](const std::string &name) {

@@ -76,7 +76,7 @@ frontSpec(cluster::BalancerPolicy policy,
                       app::opCompute(0, 3)};
     spec.endpoints.push_back(ep);
     spec.resilience.rpcDeadline = rpcDeadline;
-    spec.balancing.defaultPolicy = policy;
+    spec.balancing.policy = policy;
     return spec;
 }
 

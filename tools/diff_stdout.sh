@@ -11,17 +11,20 @@
 # (wall-clock timings) is not compared. Prints one line per surface
 # and exits 1 if any stdout differs or any run fails.
 #
-# Surfaces: bench_faults, bench_overload, bench_regions,
-# bench_workload, bench_scale, bench_clone, bench_ablation (profiles
-# a reference service with the exact-mode profiler and measures its
-# clone with one generator mechanism degraded at a time),
-# ditto-chaos (plain and --sessions --overload) and ditto-clone
-# (plain and --sessions).
+# Surfaces: bench_overload, bench_regions, bench_workload,
+# bench_scale, bench_clone, bench_ablation (profiles a reference
+# service with the exact-mode profiler and measures its clone with one
+# generator mechanism degraded at a time), ditto-chaos (plain and
+# --sessions --overload) and ditto-clone (plain and --sessions).
 # bench_paper is left out for its runtime (minutes even at --jobs 4);
 # diff it separately, e.g. in bash:
 #   diff <(P/bench/bench_paper --jobs 4) <(build/bench/bench_paper --jobs 4)
-# Against a parent that still has the standalone bench_fig9 binary,
-# bench_paper gains a Fig. 9 section: compare the other sections.
+# Against a parent that still has the standalone bench_faults binary,
+# bench_paper gains a fault section after Fig. 11: its zero-cost line,
+# `orig` rows and accounting line match the parent's bench_faults
+# stdout; its `clone` rows, deviation table and outcome mix match a
+# parent bench_faults that clones with the seed-80 Social Network
+# (the clone Figs. 5-8 evaluate) instead of its own seed-91 one.
 
 set -u
 
@@ -67,7 +70,6 @@ surface() {
     fi
 }
 
-surface bench_faults bench/bench_faults
 surface bench_overload bench/bench_overload
 surface bench_regions bench/bench_regions
 surface bench_workload bench/bench_workload
