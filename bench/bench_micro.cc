@@ -280,14 +280,23 @@ BENCHMARK(BM_StackDistance);
 static void
 BM_BlockInterpret(benchmark::State &state)
 {
-    const bool exact = state.range(0) != 0;
+    // 0: replay; 1: exact, on a block whose plan runs lean (memory and
+    // branch instructions only); 2: exact, on a pointer-chase block,
+    // and 3: exact with an observer attached, which walk every
+    // instruction.
+    static const char *const kLabels[] = {"replay", "exact", "chase",
+                                          "observed"};
+    const auto mode = static_cast<std::size_t>(state.range(0));
     hw::PlatformSpec spec = hw::platformA();
     hw::Cache llc(spec.llcBytes, spec.llcWays);
     hw::CacheHierarchy caches(spec.l1iBytes, spec.l1iWays,
                               spec.l1dBytes, spec.l1dWays,
                               spec.l2Bytes, spec.l2Ways, &llc, true);
     hw::CpuCore core(0, spec, caches, nullptr);
-    core.setExactMode(exact);
+    core.setExactMode(mode != 0);
+    hw::ExecObserver observer;
+    if (mode == 3)
+        core.setObserver(&observer);
     hw::ExecContext ctx(0, 1);
     hw::CodeImage image(0x400000, 0x10000000, 4);
     hw::BlockSpec bs;
@@ -296,6 +305,9 @@ BM_BlockInterpret(benchmark::State &state)
     bs.memFraction = 0.3;
     bs.branchFraction = 0.1;
     bs.streams = {{256 << 10, hw::StreamKind::Sequential, false, 1.0}};
+    if (mode == 2)
+        bs.streams.push_back({256 << 10, hw::StreamKind::PointerChase,
+                              false, 0.5});
     bs.seed = 1;
     const auto block = image.addBlock(hw::buildBlock(bs));
 
@@ -304,9 +316,9 @@ BM_BlockInterpret(benchmark::State &state)
         benchmark::DoNotOptimize(
             core.run(image, block, 4, ctx, stats));
     state.SetItemsProcessed(state.iterations() * 4 * 256);
-    state.SetLabel(exact ? "exact" : "replay");
+    state.SetLabel(kLabels[mode]);
 }
-BENCHMARK(BM_BlockInterpret)->Arg(1)->Arg(0);
+BENCHMARK(BM_BlockInterpret)->Arg(1)->Arg(0)->Arg(2)->Arg(3);
 
 static void
 BM_EndToEndRequests(benchmark::State &state)

@@ -2,7 +2,29 @@
 
 #include <bit>
 
+#include "hw/block_plan.h"
+
 namespace ditto::hw {
+
+CodeImage::PlanSlot::PlanSlot() = default;
+CodeImage::PlanSlot::PlanSlot(PlanSlot &&) noexcept = default;
+CodeImage::PlanSlot &
+CodeImage::PlanSlot::operator=(PlanSlot &&) noexcept = default;
+CodeImage::PlanSlot::~PlanSlot() = default;
+
+CodeImage::PlanSlot &
+CodeImage::PlanSlot::operator=(const PlanSlot &other)
+{
+    if (this != &other)
+        plan_.reset();
+    return *this;
+}
+
+void
+CodeImage::PlanSlot::set(std::unique_ptr<BlockPlan> plan)
+{
+    plan_ = std::move(plan);
+}
 
 std::uint64_t
 roundUpPow2(std::uint64_t v)

@@ -19,6 +19,7 @@
 
 #include <cstdint>
 #include <map>
+#include <memory>
 #include <string>
 #include <tuple>
 #include <vector>
@@ -26,6 +27,8 @@
 #include "hw/isa.h"
 
 namespace ditto::hw {
+
+class BlockPlan;
 
 /** Register file indices: 16 GPRs then 16 XMM registers. */
 inline constexpr std::uint8_t kNumGprs = 16;
@@ -153,11 +156,38 @@ class CodeImage
         std::uint64_t perThreadSpan = 0; //!< stride between thread copies
     };
 
+    /**
+     * Owner of a block's BlockPlan (hw/block_plan.h). A copy starts
+     * empty, so a copied image builds its own plans; a move keeps it.
+     */
+    class PlanSlot
+    {
+      public:
+        PlanSlot();
+        PlanSlot(const PlanSlot &) : PlanSlot() {}
+        PlanSlot(PlanSlot &&) noexcept;
+        PlanSlot &operator=(const PlanSlot &other);
+        PlanSlot &operator=(PlanSlot &&) noexcept;
+        ~PlanSlot();
+
+        BlockPlan *get() const { return plan_.get(); }
+        void set(std::unique_ptr<BlockPlan> plan);
+
+      private:
+        std::unique_ptr<BlockPlan> plan_;
+    };
+
+    /**
+     * A linked block. Its plan is built by CpuCore on the block's
+     * first run, through this const reference: a deployment's images
+     * run on one thread, so nothing guards it.
+     */
     struct LinkedBlock
     {
         CodeBlock code;
         std::uint64_t iBase = 0;           //!< text address of the block
         std::vector<std::uint32_t> streamIds; //!< into streams()
+        mutable PlanSlot plan;
     };
 
     /**

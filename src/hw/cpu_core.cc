@@ -123,28 +123,30 @@ CpuCore::runPhase(const CodeImage &image,
 {
     const Isa &isa = Isa::instance();
     const CodeBlock &code = block.code;
+    if (!block.plan.get())
+        block.plan.set(std::make_unique<BlockPlan>(image, block));
+    BlockPlan &plan = *block.plan.get();
+    const std::vector<BlockPlan::Op> &ops = plan.ops();
     ExecContext::BlockRt &rt = ctx.blockRt(
         &block, code.streams.size(), code.branches.size());
 
     const MemLatency &lat = spec_.latency;
 
-    double regReady[kNumRegs] = {};
-    double portLoad[kNumPorts] = {};
-    // Pointer-chase streams serialize through memory: each access
-    // depends on the previous one's loaded value (mov r11, [r11]).
-    chainReady_.assign(code.streams.size(), 0.0);
-    double critPath = 0;
+    // A lean run visits only the plan's ops and reads the critical
+    // path from the memo. A full run walks every instruction: a
+    // pointer-chase load's miss latency enters the critical path, and
+    // an observer sees each instruction.
+    const bool full = plan.chases() || observer_;
+    if (full)
+        flow_.reset(code.streams.size());
+    const std::size_t steps = full ? code.insts.size() : ops.size();
     double parallelMissCycles = 0;
     double frontendStall = 0;
     double badSpec = 0;
-    double totalUops = 0;
-
-    const std::uint64_t iLines = std::max<std::uint64_t>(
-        1, (code.iFootprintBytes() + kLineBytes - 1) / kLineBytes);
 
     for (std::uint64_t it = 0; it < iterations; ++it) {
         // ---- instruction fetch over the block's footprint --------------
-        for (std::uint64_t l = 0; l < iLines; ++l) {
+        for (std::uint64_t l = 0; l < plan.iLines(); ++l) {
             const std::uint64_t addr = block.iBase + l * kLineBytes;
             const CacheLevel level = caches_->accessInst(addr);
             out.l1iAccesses += 1;
@@ -165,120 +167,69 @@ CpuCore::runPhase(const CodeImage &image,
         }
 
         // ---- execute the instruction sequence ---------------------------
-        for (std::size_t idx = 0; idx < code.insts.size(); ++idx) {
+        std::size_t nextOp = 0;
+        for (std::size_t step = 0; step < steps; ++step) {
+            const std::size_t idx = full ? step : ops[step].inst;
+            const BlockPlan::Op *op = nullptr;
+            if (nextOp < ops.size() && ops[nextOp].inst == idx)
+                op = &ops[nextOp++];
             const Inst &inst = code.insts[idx];
-            const InstInfo &info = isa.info(inst.opcode);
-
-            out.instructions += 1;
-            double uops = info.uops;
-            double effLat = info.latency;
-
-            // REP string forms scale with the repeat count.
-            std::uint64_t memTouches = 1;
-            if (info.repPerElem && inst.repBytes) {
-                const std::uint64_t chunks = (inst.repBytes + 15) / 16;
-                effLat += static_cast<double>(info.repPerElem) *
-                    static_cast<double>(chunks);
-                uops += static_cast<double>(chunks) / 2.0;
-                memTouches = (inst.repBytes + kLineBytes - 1) /
-                    kLineBytes;
-            }
-            out.uops += uops;
-            totalUops += uops;
+            double effLat = 0;  // read on a full walk only
+            if (full)
+                effLat = baseLatency(inst, isa.info(inst.opcode));
 
             // Memory operand.
-            if (inst.memStream != kNoStream &&
-                inst.memStream < block.streamIds.size()) {
-                const auto &stream = image.stream(
-                    block.streamIds[inst.memStream]);
-                for (std::uint64_t t = 0; t < memTouches; ++t) {
-                    const std::uint64_t addr = nextStreamAddr(
-                        stream, ctx, rt, inst.memStream);
-                    const CacheLevel level =
-                        caches_->accessData(addr, info.isStore);
-                    out.l1dAccesses += 1;
-                    if (info.isLoad)
-                        out.loads += 1;
-                    if (info.isStore)
-                        out.stores += 1;
-                    if (level != CacheLevel::L1) {
-                        out.l1dMisses += 1;
-                        out.l2Accesses += 1;
-                        if (level != CacheLevel::L2) {
-                            out.l2Misses += 1;
-                            out.llcAccesses += 1;
-                            if (level != CacheLevel::L3)
-                                out.llcMisses += 1;
-                        }
-                        const double extra = lat.of(level) - lat.l1;
-                        if (info.isLoad &&
-                            stream.desc.kind == StreamKind::PointerChase) {
-                            // Serialized: enters the dependency chain.
-                            effLat += extra;
-                            out.serializedMissCycles += extra;
-                        } else if (info.isLoad) {
-                            parallelMissCycles += extra;
-                            out.parallelMissCycles += extra;
-                        } else {
-                            // Store misses mostly hidden by the store
-                            // buffer; a fraction backs up.
-                            parallelMissCycles += extra * 0.3;
-                            out.parallelMissCycles += extra * 0.3;
-                        }
+            for (std::uint32_t t = 0; op && t < op->touches; ++t) {
+                const auto &stream = image.stream(op->streamId);
+                const std::uint64_t addr = nextStreamAddr(
+                    stream, ctx, rt, op->stream);
+                const CacheLevel level =
+                    caches_->accessData(addr, op->isStore);
+                out.l1dAccesses += 1;
+                if (op->isLoad)
+                    out.loads += 1;
+                if (op->isStore)
+                    out.stores += 1;
+                if (level != CacheLevel::L1) {
+                    out.l1dMisses += 1;
+                    out.l2Accesses += 1;
+                    if (level != CacheLevel::L2) {
+                        out.l2Misses += 1;
+                        out.llcAccesses += 1;
+                        if (level != CacheLevel::L3)
+                            out.llcMisses += 1;
                     }
-                    if (stream.desc.shared && coherence_) {
-                        if (info.isStore)
-                            coherence_->sharedWrite(id_, addr);
-                        else
-                            coherence_->sharedRead(id_, addr);
-                    }
-                    if (observer_) {
-                        observer_->onDataAccess(addr, info.isStore,
-                                                stream.desc.shared);
+                    const double extra = lat.of(level) - lat.l1;
+                    if (op->chase) {
+                        // Serialized: enters the dependency chain.
+                        effLat += extra;
+                        out.serializedMissCycles += extra;
+                    } else if (op->isLoad) {
+                        parallelMissCycles += extra;
+                        out.parallelMissCycles += extra;
+                    } else {
+                        // Store misses mostly hidden by the store
+                        // buffer; a fraction backs up.
+                        parallelMissCycles += extra * 0.3;
+                        out.parallelMissCycles += extra * 0.3;
                     }
                 }
-            }
-
-            // Register dataflow critical path.
-            double ready = 0;
-            if (inst.src0 != kNoReg)
-                ready = std::max(ready, regReady[inst.src0]);
-            if (inst.src1 != kNoReg)
-                ready = std::max(ready, regReady[inst.src1]);
-            const bool chased = inst.memStream != kNoStream &&
-                inst.memStream < code.streams.size() &&
-                code.streams[inst.memStream].kind ==
-                    StreamKind::PointerChase;
-            if (chased)
-                ready = std::max(ready, chainReady_[inst.memStream]);
-            const double done = ready + effLat;
-            if (chased)
-                chainReady_[inst.memStream] = done;
-            if (inst.dst != kNoReg)
-                regReady[inst.dst] = done;
-            critPath = std::max(critPath, done);
-
-            // Port pressure: greedy least-loaded among allowed ports.
-            if (info.ports) {
-                for (unsigned u = 0;
-                     u < static_cast<unsigned>(uops + 0.5); ++u) {
-                    int best = -1;
-                    for (int p = 0; p < kNumPorts; ++p) {
-                        if (!(info.ports & (1u << p)))
-                            continue;
-                        if (best < 0 || portLoad[p] < portLoad[best])
-                            best = p;
-                    }
-                    if (best >= 0)
-                        portLoad[best] += 1;
+                if (stream.desc.shared && coherence_) {
+                    if (op->isStore)
+                        coherence_->sharedWrite(id_, addr);
+                    else
+                        coherence_->sharedRead(id_, addr);
+                }
+                if (observer_) {
+                    observer_->onDataAccess(addr, op->isStore,
+                                            stream.desc.shared);
                 }
             }
 
             // Conditional branch.
-            if (inst.branch != kNoBranch &&
-                inst.branch < code.branches.size()) {
-                const BranchDesc &desc = code.branches[inst.branch];
-                const std::uint64_t cnt = rt.branchCount[inst.branch]++;
+            if (op && op->branch != kNoBranch) {
+                const BranchDesc &desc = code.branches[op->branch];
+                const std::uint64_t cnt = rt.branchCount[op->branch]++;
                 const bool taken = BranchPattern::direction(desc, cnt);
                 const std::uint64_t pc = block.iBase + idx * kInstBytes;
                 const bool mis = predictor_.predictAndUpdate(pc, taken);
@@ -291,17 +242,26 @@ CpuCore::runPhase(const CodeImage &image,
                     observer_->onBranch(pc, taken);
             }
 
-            if (observer_)
-                observer_->onInst(inst, info);
+            if (full) {
+                flow_.issue(code, inst, effLat);
+                if (observer_)
+                    observer_->onInst(inst, isa.info(inst.opcode));
+            }
         }
     }
 
     // ---- assemble the cycle count and top-down buckets -----------------
+    // Every per-instruction term of these is an integer-valued double,
+    // so the plan's per-iteration sums are exact.
+    const double n = static_cast<double>(iterations);
+    const double totalUops = plan.uopsPerIter() * n;
+    out.instructions += plan.instsPerIter() * n;
+    out.uops += totalUops;
     const double retiring = totalUops /
         static_cast<double>(std::max(1u, spec_.issueWidth));
-    double portBound = 0;
-    for (double p : portLoad)
-        portBound = std::max(portBound, p);
+    const double portBound = plan.portMax(code, iterations);
+    const double critPath = full ? flow_.critPath
+                                 : plan.critPath(code, iterations);
     const double coreBound = std::max({retiring, portBound, critPath});
     const double memStall = parallelMissCycles /
         static_cast<double>(std::max(1u, spec_.mlp));

@@ -11,6 +11,12 @@
  * where cycle-accuracy would add cost without changing the cloning
  * story (no reorder-buffer simulation; parallel miss latencies
  * overlap up to the platform MLP).
+ *
+ * The critical path and port pressure are pure functions of a block
+ * and its iteration count, so each block's BlockPlan computes them
+ * once per count (hw/block_plan.h); a run interprets only the
+ * instructions with a memory operand or a branch, unless a
+ * pointer-chase load or an observer needs every instruction.
  */
 
 #ifndef DITTO_HW_CPU_CORE_H_
@@ -20,6 +26,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "hw/block_plan.h"
 #include "hw/branch_predictor.h"
 #include "hw/cache.h"
 #include "hw/code.h"
@@ -272,8 +279,8 @@ class CpuCore
     bool exactMode_ = false;
     double contention_ = 1.0;
     std::unordered_map<const void *, ReplayEntry> replay_;
-    /** runPhase()'s per-stream pointer-chase ready times, reused. */
-    std::vector<double> chainReady_;
+    /** runPhase()'s dataflow state for a full walk, reused. */
+    Dataflow flow_;
 
     void runPhase(const CodeImage &image,
                   const CodeImage::LinkedBlock &block,

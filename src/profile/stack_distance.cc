@@ -49,15 +49,16 @@ StackDistanceCurve::compress()
 {
     std::vector<std::pair<std::uint32_t, std::uint64_t>> live;
     live.reserve(lastTime_.size());
-    for (const auto &[line, t] : lastTime_)
+    lastTime_.forEach([&](std::uint64_t line, std::uint32_t t) {
         live.push_back({t, line});
+    });
     std::sort(live.begin(), live.end());
 
     std::fill(bit_.begin(), bit_.end(), 0);
     std::uint32_t next = 0;
     for (const auto &[t, line] : live) {
         (void)t;
-        lastTime_[line] = next;
+        *lastTime_.find(line) = next;
         bitAdd(next, 1);
         ++next;
     }
@@ -73,15 +74,15 @@ StackDistanceCurve::access(std::uint64_t lineAddr)
     const std::uint32_t now = time_++;
     ensure(now);
 
-    const auto it = lastTime_.find(lineAddr);
-    if (it == lastTime_.end()) {
+    std::uint32_t *last = lastTime_.find(lineAddr);
+    if (!last) {
         cold_ += 1;
         bitAdd(now, 1);
-        lastTime_.emplace(lineAddr, now);
+        lastTime_.ref(lineAddr) = now;
         return kWsSizes;
     }
 
-    const std::uint32_t prev = it->second;
+    const std::uint32_t prev = *last;
     // Distinct lines touched since `prev`: each has its latest access
     // marked in (prev, now); +1 for the line itself.
     const std::int64_t between =
@@ -101,7 +102,7 @@ StackDistanceCurve::access(std::uint64_t lineAddr)
 
     bitAdd(prev, -1);
     bitAdd(now, 1);
-    it->second = now;
+    *last = now;
     return std::min<std::size_t>(idx, kWsSizes);
 }
 

@@ -21,9 +21,9 @@
 
 #include <array>
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
+#include "core/flat_map64.h"
 #include "profile/profile_data.h"
 
 namespace ditto::profile {
@@ -47,7 +47,8 @@ class StackDistanceCurve
     double coldMisses() const { return cold_; }
 
   private:
-    std::unordered_map<std::uint64_t, std::uint32_t> lastTime_;
+    /** Line address -> time of its latest access. */
+    core::BasicFlatMap64<std::uint32_t> lastTime_;
     std::vector<std::int32_t> bit_;  //!< Fenwick tree over time
     std::uint32_t time_ = 0;
     /** Accesses whose minimum hitting size index is i. */

@@ -153,4 +153,32 @@ TEST(FlatMap64, ZeroKeyAndClear)
     EXPECT_EQ(map.ref(0), 0u);
 }
 
+TEST(FlatMap64, FindTellsAbsentFromZeroAndForEachVisitsAll)
+{
+    core::FlatMap64 map;
+    EXPECT_EQ(map.find(7), nullptr);
+    map.ref(7) = 0;
+    ASSERT_NE(map.find(7), nullptr);
+    EXPECT_EQ(*map.find(7), 0u);
+
+    // Past several growths: every entry visited once, values writable.
+    std::unordered_map<std::uint64_t, std::uint64_t> ref;
+    for (std::uint64_t k = 0; k < 5000; ++k) {
+        map.ref(k * 97) = k;
+        ref[k * 97] = k;
+    }
+    ref[7] = 0;
+    std::size_t visited = 0;
+    map.forEach([&](std::uint64_t key, std::uint64_t &value) {
+        ++visited;
+        EXPECT_EQ(ref.at(key), value);
+        value += 1;
+    });
+    EXPECT_EQ(visited, ref.size());
+    EXPECT_EQ(map.size(), ref.size());
+    for (const auto &[k, v] : ref)
+        EXPECT_EQ(*map.find(k), v + 1);
+    EXPECT_EQ(map.find(5000 * 97 + 1), nullptr);
+}
+
 } // namespace

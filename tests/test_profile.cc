@@ -8,7 +8,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
+#include <bit>
 #include <cmath>
+#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "app/deployment.h"
@@ -82,11 +86,9 @@ TEST(StackDistance, MonotoneNonDecreasingCurve)
 
 TEST(StackDistance, CompressionPreservesDistances)
 {
-    // Force at least one compression by exceeding kMaxTime accesses
-    // would be slow; instead verify the logic on a small schedule by
-    // calling access enough times to stay correct across rebuilds is
-    // covered by determinism tests elsewhere. Here: interleaved
-    // pattern distances stay exact after many repetitions.
+    // Interleaved pattern distances stay exact after many repetitions.
+    // The renumbering at kMaxTime itself is checked by
+    // FlatTableMatchesMapBackedCurveAcrossCompression.
     StackDistanceCurve curve;
     for (int rep = 0; rep < 1000; ++rep) {
         for (std::uint64_t l = 0; l < 8; ++l)
@@ -95,6 +97,149 @@ TEST(StackDistance, CompressionPreservesDistances)
     const auto hits = curve.hitsBySize();
     EXPECT_DOUBLE_EQ(hits[3], 1000.0 * 8 - 8);  // 8 lines = 512B
     EXPECT_DOUBLE_EQ(hits[2], 0.0);
+}
+
+/**
+ * The curve as it was with a std::unordered_map for last-use times,
+ * frozen as the oracle for the flat table. Do not update it along
+ * with src/profile/stack_distance.cc.
+ */
+class MapBackedCurve
+{
+  public:
+    MapBackedCurve() { bit_.assign(1 << 16, 0); }
+
+    std::size_t
+    access(std::uint64_t lineAddr)
+    {
+        total_ += 1;
+        if (time_ >= kMaxTime)
+            compress();
+        const std::uint32_t now = time_++;
+        ensure(now);
+        const auto it = lastTime_.find(lineAddr);
+        if (it == lastTime_.end()) {
+            cold_ += 1;
+            bitAdd(now, 1);
+            lastTime_.emplace(lineAddr, now);
+            return kWsSizes;
+        }
+        const std::uint32_t prev = it->second;
+        const std::int64_t distance = bitPrefix(now) - bitPrefix(prev) + 1;
+        const auto d = static_cast<std::uint64_t>(
+            distance < 1 ? 1 : distance);
+        const unsigned idx = d <= 1
+            ? 0
+            : static_cast<unsigned>(64 - std::countl_zero(d - 1));
+        minHitIdx_[std::min<std::size_t>(idx, kWsSizes)] += 1;
+        bitAdd(prev, -1);
+        bitAdd(now, 1);
+        it->second = now;
+        return std::min<std::size_t>(idx, kWsSizes);
+    }
+
+    std::array<double, kWsSizes>
+    hitsBySize() const
+    {
+        std::array<double, kWsSizes> hits{};
+        double cumulative = 0;
+        for (std::size_t i = 0; i < kWsSizes; ++i) {
+            cumulative += minHitIdx_[i];
+            hits[i] = cumulative;
+        }
+        return hits;
+    }
+
+    double coldMisses() const { return cold_; }
+
+    static constexpr std::uint32_t kMaxTime = 1u << 24;
+
+  private:
+    std::unordered_map<std::uint64_t, std::uint32_t> lastTime_;
+    std::vector<std::int32_t> bit_;
+    std::uint32_t time_ = 0;
+    std::array<double, kWsSizes + 1> minHitIdx_{};
+    double total_ = 0;
+    double cold_ = 0;
+
+    void
+    ensure(std::uint32_t pos)
+    {
+        if (pos >= bit_.size()) {
+            std::size_t size = bit_.size();
+            while (pos >= size)
+                size *= 2;
+            bit_.resize(size, 0);
+        }
+    }
+
+    void
+    bitAdd(std::uint32_t pos, std::int32_t delta)
+    {
+        ensure(pos);
+        for (std::uint32_t i = pos + 1; i <= bit_.size(); i += i & (~i + 1))
+            bit_[i - 1] += delta;
+    }
+
+    std::int64_t
+    bitPrefix(std::uint32_t pos) const
+    {
+        std::int64_t sum = 0;
+        std::uint32_t limit = pos + 1;
+        if (limit > bit_.size())
+            limit = static_cast<std::uint32_t>(bit_.size());
+        for (std::uint32_t i = limit; i > 0; i -= i & (~i + 1))
+            sum += bit_[i - 1];
+        return sum;
+    }
+
+    void
+    compress()
+    {
+        std::vector<std::pair<std::uint32_t, std::uint64_t>> live;
+        for (const auto &[line, t] : lastTime_)
+            live.push_back({t, line});
+        std::sort(live.begin(), live.end());
+        std::fill(bit_.begin(), bit_.end(), 0);
+        std::uint32_t next = 0;
+        for (const auto &[t, line] : live) {
+            (void)t;
+            lastTime_[line] = next;
+            bitAdd(next, 1);
+            ++next;
+        }
+        time_ = next;
+    }
+};
+
+TEST(StackDistance, FlatTableMatchesMapBackedCurveAcrossCompression)
+{
+    // 2^24 + 2^20 accesses: the time index reaches kMaxTime once, so
+    // the renumbering runs with live lines of every age. The stream
+    // mixes a hot set, a cyclic sweep, uniform lines over 2^18 and
+    // line 0 (a stored time of 0 must not read as absent).
+    StackDistanceCurve flat;
+    MapBackedCurve oracle;
+    sim::Rng rng(23);
+    std::uint64_t sweep = 0;
+    const std::uint64_t total = (1u << 24) + (1u << 20);
+    for (std::uint64_t i = 0; i < total; ++i) {
+        std::uint64_t line;
+        switch (i % 4) {
+          case 0: line = rng.uniformInt(std::uint64_t{64}); break;
+          case 1: line = 1000 + (sweep++ % 5000); break;
+          case 2: line = rng.uniformInt(std::uint64_t{1} << 18); break;
+          default: line = i % 64 == 3 ? 0 : (i * 2654435761u) % 70000;
+        }
+        const std::size_t want = oracle.access(line);
+        const std::size_t got = flat.access(line);
+        if (want != got) {
+            ASSERT_EQ(want, got) << "access " << i << " line " << line;
+        }
+    }
+    EXPECT_EQ(oracle.hitsBySize(), flat.hitsBySize());
+    EXPECT_EQ(oracle.coldMisses(), flat.coldMisses());
+    EXPECT_EQ(flat.totalAccesses(), static_cast<double>(total));
 }
 
 TEST(Eq1, DataAccessDecomposition)
